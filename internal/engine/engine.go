@@ -1,8 +1,9 @@
 // Package engine is the embedded relational database engine SQLCM monitors:
-// sessions, SQL execution (parse → plan → lock → execute), stored
-// procedures, a plan cache, transactions with strict two-phase table
-// locking, and the instrumentation hook points (Hooks) that the monitoring
-// framework attaches to.
+// sessions, SQL execution (parse → plan → lock or snapshot → execute),
+// stored procedures, a plan cache, multi-version storage with snapshot
+// reads, transactions whose writers take strict two-phase table locks, and
+// the instrumentation hook points (Hooks) that the monitoring framework
+// attaches to.
 package engine
 
 import (
@@ -35,11 +36,6 @@ type Config struct {
 	// LockTimeout bounds lock waits; zero waits forever (deadlock detection
 	// still applies). Default 10s.
 	LockTimeout time.Duration
-	// DisableMVCC turns off multi-version storage: tables are created
-	// without version stores and SELECTs take shared locks (the pre-MVCC
-	// strict-2PL read path). Used by A/B invariance tests and the 2PL
-	// baseline in benchmarks.
-	DisableMVCC bool
 	// VersionGCEvery is the writer-commit interval between version-garbage
 	// collection passes (default 256). Negative disables automatic pruning
 	// (tests drive PruneVersionsNow directly).
@@ -152,7 +148,7 @@ func Open(cfg Config) (*Engine, error) {
 	e.planMu.SetClass("engine.plan")
 	e.queryMu.SetClass("engine.query")
 	locks.SetNotifier(&lockBridge{e: e})
-	if !cfg.DisableMVCC && cfg.VersionGCEvery > 0 {
+	if cfg.VersionGCEvery > 0 {
 		e.tm.SetPostCommit(e.onWriterCommit)
 	}
 	return e, nil
@@ -169,7 +165,7 @@ func (e *Engine) onWriterCommit(int64) {
 }
 
 // PruneVersionsNow runs one version-garbage-collection pass over every
-// multi-versioned table at the current watermark (oldest active snapshot).
+// table at the current watermark (oldest active snapshot).
 // Each table is pruned under its exclusive lock inside a short internal
 // transaction, so pruning serializes against writers exactly like a
 // statement; the internal transactions carry no QueryInfo and are therefore
@@ -183,7 +179,7 @@ func (e *Engine) PruneVersionsNow() {
 	defer e.gcBusy.Store(false)
 	for _, name := range e.reg.Names() {
 		ts, err := e.reg.Store(name)
-		if err != nil || ts.Vers == nil {
+		if err != nil {
 			continue
 		}
 		t := e.tm.Begin(true)
@@ -203,20 +199,15 @@ func (e *Engine) PruneVersionsNow() {
 // probes and tests).
 func (e *Engine) MVCCStats() *storage.VersionStats { return &e.mvccStats }
 
-// MVCCEnabled reports whether tables are multi-versioned.
-func (e *Engine) MVCCEnabled() bool { return !e.cfg.DisableMVCC }
-
-// Close shuts the engine down. Multi-versioned tables are fully pruned
-// first (at shutdown the watermark is the newest commit, so every
-// superseded version and deleted row is reclaimed) so the flushed heaps
-// hold exactly the live row images.
+// Close shuts the engine down. Tables are fully pruned first (at shutdown
+// the watermark is the newest commit, so every superseded version and
+// deleted row is reclaimed) so the flushed heaps hold exactly the live row
+// images.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
-	if !e.cfg.DisableMVCC {
-		e.PruneVersionsNow()
-	}
+	e.PruneVersionsNow()
 	if err := e.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -495,12 +486,9 @@ func (e *Engine) CreateTable(name string, cols []catalog.Column) error {
 	if err != nil {
 		return err
 	}
-	ts, err := exec.NewTableStore(meta, e.pool)
+	ts, err := exec.NewTableStore(meta, e.pool, &e.mvccStats)
 	if err != nil {
 		return err
-	}
-	if !e.cfg.DisableMVCC {
-		ts.Vers = storage.NewVersionStore(&e.mvccStats)
 	}
 	e.reg.Register(name, ts)
 	e.invalidatePlans()
@@ -558,9 +546,7 @@ func (e *Engine) TruncateTableDirect(table string) error {
 	for name, ix := range ts.Indexes {
 		ts.Indexes[name] = index.New(ix.Unique())
 	}
-	if ts.Vers != nil {
-		ts.Vers.Reset()
-	}
+	ts.Vers.Reset()
 	e.cat.AddRows(table, -1<<40) // clamps at zero
 	return e.tm.Commit(t)
 }
@@ -585,38 +571,16 @@ func (e *Engine) DeleteRowsDirect(table string, pred func(row []sqltypes.Value) 
 		row []sqltypes.Value
 	}
 	var victims []victim
-	if ts.Vers != nil {
-		// Versioned table: the chains are authoritative (the heap still
-		// holds deleted-but-unpruned row images).
-		for _, cr := range ts.Vers.CurrentScan() {
-			row, err := exec.DecodeRow(cr.Rec, ncols)
-			if err != nil {
-				e.tm.Rollback(t) //nolint:errcheck
-				return 0, err
-			}
-			if pred(row) {
-				victims = append(victims, victim{rid: cr.Rid, row: row})
-			}
-		}
-	} else {
-		var decodeErr error
-		err = ts.Heap.Scan(func(rid storage.RID, rec []byte) bool {
-			row, err := exec.DecodeRow(rec, ncols)
-			if err != nil {
-				decodeErr = err
-				return false
-			}
-			if pred(row) {
-				victims = append(victims, victim{rid: rid, row: row})
-			}
-			return true
-		})
-		if err == nil {
-			err = decodeErr
-		}
+	// The chains are authoritative (the heap still holds deleted-but-
+	// unpruned row images).
+	for _, cr := range ts.Vers.CurrentScan() {
+		row, err := exec.DecodeRow(cr.Rec, ncols)
 		if err != nil {
 			e.tm.Rollback(t) //nolint:errcheck
 			return 0, err
+		}
+		if pred(row) {
+			victims = append(victims, victim{rid: cr.Rid, row: row})
 		}
 	}
 	for _, v := range victims {
@@ -640,30 +604,14 @@ func (e *Engine) ReadTableDirect(table string) ([][]sqltypes.Value, error) {
 	}
 	ncols := len(ts.Meta.Columns)
 	var out [][]sqltypes.Value
-	if ts.Vers != nil {
-		for _, cr := range ts.Vers.CurrentScan() {
-			row, err := exec.DecodeRow(cr.Rec, ncols)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, row)
-		}
-		return out, nil
-	}
-	var decodeErr error
-	err = ts.Heap.Scan(func(rid storage.RID, rec []byte) bool {
-		row, err := exec.DecodeRow(rec, ncols)
+	for _, cr := range ts.Vers.CurrentScan() {
+		row, err := exec.DecodeRow(cr.Rec, ncols)
 		if err != nil {
-			decodeErr = err
-			return false
+			return nil, err
 		}
 		out = append(out, row)
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, decodeErr
+	return out, nil
 }
 
 // NewQueryID allocates a fresh query id (exported for the monitor's

@@ -382,14 +382,9 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 		OptimizeTime:  cp.optimize,
 		Instances:     instances,
 		PlanCacheHit:  instances > 1,
-	}
-	if s.e.MVCCEnabled() {
-		// Snapshot probes (Snapshot_Age, and the version-store counters)
-		// are NULL when the engine runs without MVCC, so the zero values
-		// stay zero in that mode.
-		qi.SnapshotTS = t.SnapshotTS()
-		qi.SnapshotAt = t.SnapshotAt()
-		qi.MVCC = s.e.MVCCStats()
+		SnapshotTS:    t.SnapshotTS(),
+		SnapshotAt:    t.SnapshotAt(),
+		MVCC:          s.e.MVCCStats(),
 	}
 	s.e.registerQuery(qi)
 	s.cur.Store(qi)
@@ -448,29 +443,23 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 	return res, nil
 }
 
-// executeBody acquires locks and runs the statement. SELECTs on an MVCC
-// engine read a transaction-consistent snapshot through the version chains
-// and never touch the lock manager — readers cannot block, be blocked, or
-// deadlock, so they produce no Blocker/Blocked events. Writes still take
-// exclusive table locks (strict 2PL), keeping write-write blocking and
-// deadlock behavior identical to the pre-MVCC engine.
+// executeBody acquires locks and runs the statement. SELECTs read a
+// transaction-consistent snapshot through the version chains and never
+// touch the lock manager — readers cannot block, be blocked, or deadlock,
+// so they produce no Blocker/Blocked events. Writes take exclusive table
+// locks (strict 2PL), so write-write blocking and deadlocks are what the
+// monitor's Blocker/Blocked objects observe.
 func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params map[string]sqltypes.Value) (*Result, error) {
-	snapRead := cp.qtype == QuerySelect && s.e.MVCCEnabled()
-	if !snapRead {
-		mode := lock.Shared
-		if cp.qtype != QuerySelect {
-			mode = lock.Exclusive
-		}
+	ctx := &exec.Ctx{Txn: t, Params: params}
+	if cp.qtype == QuerySelect {
+		ctx.Snap = &storage.Snapshot{TS: t.SnapshotTS(), Self: int64(t.ID)}
+		defer func() { qi.NoteMaxChain(ctx.MaxChain) }()
+	} else {
 		for _, table := range tablesOf(cp.logical) {
-			if err := s.e.locks.Acquire(t.ID, lock.TableResource(table), mode); err != nil {
+			if err := s.e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
 				return nil, err
 			}
 		}
-	}
-	ctx := &exec.Ctx{Txn: t, Params: params}
-	if snapRead {
-		ctx.Snap = &storage.Snapshot{TS: t.SnapshotTS(), Self: int64(t.ID)}
-		defer func() { qi.NoteMaxChain(ctx.MaxChain) }()
 	}
 	switch p := cp.physical.(type) {
 	case *plan.PhysInsert:

@@ -108,16 +108,14 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		}
 		done = append(done, ix)
 	}
-	if ts.Vers != nil {
-		// The chain makes the row readable: install it last so no reader
-		// resolves the row before its entries exist. Uncommitted inserts
-		// are invisible to every other snapshot until the commit stamp.
-		if ctx.Txn != nil {
-			v := ts.Vers.Install(rid, rec, int64(ctx.Txn.ID), false)
-			ctx.Txn.OnCommit(v.SetCommit)
-		} else {
-			ts.Vers.Install(rid, rec, 0, true)
-		}
+	// The chain makes the row readable: install it last so no reader
+	// resolves the row before its entries exist. Uncommitted inserts are
+	// invisible to every other snapshot until the commit stamp.
+	if ctx.Txn != nil {
+		v := ts.Vers.Install(rid, rec, int64(ctx.Txn.ID), false)
+		ctx.Txn.OnCommit(v.SetCommit)
+	} else {
+		ts.Vers.Install(rid, rec, 0, true)
 	}
 	if cat != nil {
 		cat.AddRows(meta.Name, 1)
@@ -125,11 +123,8 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 	if ctx.Txn != nil {
 		rowCopy := row.Clone()
 		ctx.Txn.OnRollback(func() error {
-			heapRid := rid
-			if ts.Vers != nil {
-				heapRid = ts.Vers.CurrentRID(rid)
-				ts.Vers.Discard(rid)
-			}
+			heapRid := ts.Vers.CurrentRID(rid)
+			ts.Vers.Discard(rid)
 			for _, ix := range meta.Indexes {
 				if bt := ts.Indexes[ix.Name]; bt != nil {
 					bt.Delete(ts.IndexKey(ix, rowCopy), rid)
@@ -144,15 +139,15 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 	return nil
 }
 
-// insertEntry adds entry (key → rid). On a unique violation against a
-// versioned table it reclaims the conflicting entry when that entry's row
-// is dead (deleted but retained for older snapshots) and retries once —
-// the dead row then ceases to be findable through this index, a documented
-// limitation of deferred index cleanup.
+// insertEntry adds entry (key → rid). On a unique violation it reclaims
+// the conflicting entry when that entry's row is dead (deleted but
+// retained for older snapshots) and retries once — the dead row then
+// ceases to be findable through this index, a documented limitation of
+// deferred index cleanup.
 func insertEntry(ts *TableStore, bt *index.BTree, key []byte, rid storage.RID) error {
 	err := bt.Insert(key, rid)
-	if err == nil || ts.Vers == nil {
-		return err
+	if err == nil {
+		return nil
 	}
 	ex, ok := bt.Get(key)
 	if !ok || !ts.Vers.Dead(ex) {
@@ -198,44 +193,22 @@ func collectTargetsWithRIDs(ctx *Ctx, ts *TableStore, access *plan.AccessPath, s
 		out = append(out, targetRow{rid: rid, row: row})
 		return nil
 	}
-	appendIfMatch := func(rid storage.RID, rec []byte) error {
-		row, err := DecodeRow(rec, ncols)
-		if err != nil {
-			return err
-		}
-		return matchRow(rid, row)
-	}
-
 	if access.Index == nil {
-		if ts.Vers != nil {
-			// Versioned table: the chains are the authoritative current
-			// state (the heap still holds deleted-but-unpruned rows).
-			for _, cr := range ts.Vers.CurrentScan() {
-				if err := ctx.checkCancel(); err != nil {
-					return nil, err
-				}
-				if err := appendIfMatch(cr.Rid, cr.Rec); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		}
-		var innerErr error
-		err := ts.Heap.Scan(func(rid storage.RID, rec []byte) bool {
+		// The chains are the authoritative current state (the heap still
+		// holds deleted-but-unpruned rows).
+		for _, cr := range ts.Vers.CurrentScan() {
 			if err := ctx.checkCancel(); err != nil {
-				innerErr = err
-				return false
+				return nil, err
 			}
-			if err := appendIfMatch(rid, rec); err != nil {
-				innerErr = err
-				return false
+			row, err := DecodeRow(cr.Rec, ncols)
+			if err != nil {
+				return nil, err
 			}
-			return true
-		})
-		if err != nil {
-			return nil, err
+			if err := matchRow(cr.Rid, row); err != nil {
+				return nil, err
+			}
 		}
-		return out, innerErr
+		return out, nil
 	}
 
 	bt := ts.Indexes[access.Index.Name]
@@ -298,33 +271,23 @@ func collectTargetsWithRIDs(ctx *Ctx, ts *TableStore, access *plan.AccessPath, s
 		if err := ctx.checkCancel(); err != nil {
 			return nil, err
 		}
-		if ts.Vers != nil {
-			curRid, rec, ok := ts.Vers.CurrentAt(e.rid)
-			if !ok {
-				continue // row deleted; entry retained for older snapshots
-			}
-			row, err := DecodeRow(rec, ncols)
-			if err != nil {
-				return nil, err
-			}
-			// Stale-entry recheck: entries survive key changes until the
-			// garbage collector passes; the row's current key must still
-			// match this entry (the current key's own entry finds it
-			// otherwise), and the recheck also keeps RowsExamined counts
-			// identical to eager index maintenance.
-			if !bytes.Equal(ts.IndexKey(access.Index, row), e.key) {
-				continue
-			}
-			if err := matchRow(curRid, row); err != nil {
-				return nil, err
-			}
+		curRid, rec, ok := ts.Vers.CurrentAt(e.rid)
+		if !ok {
+			continue // row deleted; entry retained for older snapshots
+		}
+		row, err := DecodeRow(rec, ncols)
+		if err != nil {
+			return nil, err
+		}
+		// Stale-entry recheck: entries survive key changes until the
+		// garbage collector passes; the row's current key must still match
+		// this entry (the current key's own entry finds it otherwise), and
+		// the recheck also keeps RowsExamined counts identical to eager
+		// index maintenance.
+		if !bytes.Equal(ts.IndexKey(access.Index, row), e.key) {
 			continue
 		}
-		rec, err := ts.Heap.Get(e.rid)
-		if err != nil {
-			continue // deleted concurrently within our txn's view
-		}
-		if err := appendIfMatch(e.rid, rec); err != nil {
+		if err := matchRow(curRid, row); err != nil {
 			return nil, err
 		}
 	}
@@ -378,7 +341,7 @@ func ExecUpdate(ctx *Ctx, sp StoreProvider, p *plan.PhysUpdate, cat *catalog.Cat
 			}
 			newRow[s.Column] = cv
 		}
-		if _, err := updateRow(ctx, ts, tgt.rid, tgt.row, newRow, cat, true); err != nil {
+		if _, err := updateRow(ctx, ts, tgt.rid, tgt.row, newRow, true); err != nil {
 			return n, err
 		}
 		n++
@@ -386,9 +349,8 @@ func ExecUpdate(ctx *Ctx, sp StoreProvider, p *plan.PhysUpdate, cat *catalog.Cat
 	return n, nil
 }
 
-// ixDelta records the index work one versioned update applied for one
-// index, so unique-violation unwind and transaction rollback revert it
-// exactly.
+// ixDelta records the index work one update applied for one index, so
+// unique-violation unwind and transaction rollback revert it exactly.
 type ixDelta struct {
 	ix       *catalog.Index
 	oldKey   []byte
@@ -417,13 +379,14 @@ func revertIndexDeltas(ts *TableStore, rid, anchor storage.RID, deltas []ixDelta
 	}
 }
 
-// updateRowMVCC is the versioned-update path: push a new version (readers
-// resolve through the chain), mirror the current image into the heap, and
-// maintain indexes rid-stably — equal keys need no entry work even across
+// updateRow replaces oldRow (at rid) with newRow, optionally recording
+// undo, and returns the row's new RID. It pushes a new version (readers
+// resolve through the chain), mirrors the current image into the heap, and
+// maintains indexes rid-stably — equal keys need no entry work even across
 // relocation, changed keys insert the new entry and defer removal of the
 // old one to the garbage collector so older snapshots keep finding the row
 // under its old key.
-func updateRowMVCC(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row, recordUndo bool) (storage.RID, error) {
+func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row, recordUndo bool) (storage.RID, error) {
 	newRec := EncodeRow(newRow)
 	var txnID int64
 	if ctx.Txn != nil {
@@ -500,49 +463,6 @@ func updateRowMVCC(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row
 	return newRid, nil
 }
 
-// updateRow replaces oldRow (at rid) with newRow, fixing indexes and
-// optionally recording undo. Returns the row's new RID.
-func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row, cat *catalog.Catalog, recordUndo bool) (storage.RID, error) {
-	if ts.Vers != nil {
-		return updateRowMVCC(ctx, ts, rid, oldRow, newRow, recordUndo)
-	}
-	newRid, err := ts.Heap.Update(rid, EncodeRow(newRow))
-	if err != nil {
-		return rid, err
-	}
-	for _, ix := range ts.Meta.Indexes {
-		bt := ts.Indexes[ix.Name]
-		if bt == nil {
-			continue
-		}
-		oldKey := ts.IndexKey(ix, oldRow)
-		newKey := ts.IndexKey(ix, newRow)
-		if bytes.Equal(oldKey, newKey) && newRid == rid {
-			continue
-		}
-		bt.Delete(oldKey, rid)
-		if err := bt.Insert(newKey, newRid); err != nil {
-			// Unique violation: restore the index entry and the heap row,
-			// then surface the error (caller aborts the transaction).
-			bt.Insert(oldKey, newRid) //nolint:errcheck // restoring prior state
-			if _, rerr := ts.Heap.Update(newRid, EncodeRow(oldRow)); rerr != nil {
-				return rid, fmt.Errorf("exec: unwind failed (%v) after: %w", rerr, err)
-			}
-			return rid, fmt.Errorf("exec: %s on %q: %w", ix.Name, ts.Meta.Name, err)
-		}
-	}
-	if recordUndo && ctx.Txn != nil {
-		oldCopy := oldRow.Clone()
-		newCopy := newRow.Clone()
-		finalRid := newRid
-		ctx.Txn.OnRollback(func() error {
-			_, err := updateRow(ctx, ts, finalRid, newCopy, oldCopy, cat, false)
-			return err
-		})
-	}
-	return newRid, nil
-}
-
 // ExecDelete runs a delete plan, returning the number of rows removed.
 //
 //sqlcm:cancellable
@@ -573,59 +493,28 @@ func ExecDelete(ctx *Ctx, sp StoreProvider, p *plan.PhysDelete, cat *catalog.Cat
 	return n, nil
 }
 
-// DeleteRow removes one row, maintaining indexes, statistics and undo. On
-// a versioned table the delete is logical: a tombstone version goes onto
-// the chain, the heap record and index entries stay for older snapshots,
-// and every index entry is registered for deferred removal once the
-// tombstone's commit passes the version-garbage watermark.
+// DeleteRow removes one row, maintaining statistics and undo. The delete
+// is logical: a tombstone version goes onto the chain, the heap record and
+// index entries stay for older snapshots, and every index entry is
+// registered for deferred removal once the tombstone's commit passes the
+// version-garbage watermark.
 func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.Catalog) error {
-	if ts.Vers != nil {
-		var txnID int64
-		if ctx.Txn != nil {
-			txnID = int64(ctx.Txn.ID)
-		}
-		v := ts.Vers.Tombstone(rid, txnID)
-		if ctx.Txn != nil {
-			ctx.Txn.OnCommit(v.SetCommit)
-		} else {
-			v.SetCommit(storage.BaseCommitTS)
-		}
-		anchor := ts.Vers.Anchor(rid)
-		for _, ix := range ts.Meta.Indexes {
-			if ts.Indexes[ix.Name] == nil {
-				continue
-			}
-			ts.Vers.AddPending(rid, ix.Name, ts.IndexKey(ix, row), anchor, v)
-		}
-		if cat != nil {
-			cat.AddRows(ts.Meta.Name, -1)
-		}
-		if ctx.Txn != nil {
-			rowCopy := row.Clone()
-			ctx.Txn.OnRollback(func() error {
-				cur := ts.Vers.CurrentRID(rid)
-				for _, ix := range ts.Meta.Indexes {
-					if ts.Indexes[ix.Name] == nil {
-						continue
-					}
-					ts.Vers.TakePending(cur, ix.Name, ts.IndexKey(ix, rowCopy))
-				}
-				ts.Vers.Pop(cur)
-				if cat != nil {
-					cat.AddRows(ts.Meta.Name, 1)
-				}
-				return nil
-			})
-		}
-		return nil
+	var txnID int64
+	if ctx.Txn != nil {
+		txnID = int64(ctx.Txn.ID)
 	}
-	if err := ts.Heap.Delete(rid); err != nil {
-		return err
+	v := ts.Vers.Tombstone(rid, txnID)
+	if ctx.Txn != nil {
+		ctx.Txn.OnCommit(v.SetCommit)
+	} else {
+		v.SetCommit(storage.BaseCommitTS)
 	}
+	anchor := ts.Vers.Anchor(rid)
 	for _, ix := range ts.Meta.Indexes {
-		if bt := ts.Indexes[ix.Name]; bt != nil {
-			bt.Delete(ts.IndexKey(ix, row), rid)
+		if ts.Indexes[ix.Name] == nil {
+			continue
 		}
+		ts.Vers.AddPending(rid, ix.Name, ts.IndexKey(ix, row), anchor, v)
 	}
 	if cat != nil {
 		cat.AddRows(ts.Meta.Name, -1)
@@ -633,17 +522,14 @@ func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 	if ctx.Txn != nil {
 		rowCopy := row.Clone()
 		ctx.Txn.OnRollback(func() error {
-			newRid, err := ts.Heap.Insert(EncodeRow(rowCopy))
-			if err != nil {
-				return err
-			}
+			cur := ts.Vers.CurrentRID(rid)
 			for _, ix := range ts.Meta.Indexes {
-				if bt := ts.Indexes[ix.Name]; bt != nil {
-					if err := bt.Insert(ts.IndexKey(ix, rowCopy), newRid); err != nil {
-						return err
-					}
+				if ts.Indexes[ix.Name] == nil {
+					continue
 				}
+				ts.Vers.TakePending(cur, ix.Name, ts.IndexKey(ix, rowCopy))
 			}
+			ts.Vers.Pop(cur)
 			if cat != nil {
 				cat.AddRows(ts.Meta.Name, 1)
 			}

@@ -15,14 +15,17 @@ import (
 	"sqlcm/internal/txn"
 )
 
-// harness is a minimal engine for exec-level tests: catalog + storage +
-// transactions, no locking or monitoring.
+// harness is a minimal engine for exec-level tests: catalog + versioned
+// storage + transactions, no locking or monitoring. Stores are built the
+// way the engine builds them and SELECTs run under the transaction's
+// snapshot, the engine's only read path.
 type harness struct {
-	cat  *catalog.Catalog
-	reg  *Registry
-	pool *storage.BufferPool
-	tm   *txn.Manager
-	t    *testing.T
+	cat   *catalog.Catalog
+	reg   *Registry
+	pool  *storage.BufferPool
+	tm    *txn.Manager
+	stats storage.VersionStats
+	t     *testing.T
 }
 
 func newHarness(t *testing.T) *harness {
@@ -73,7 +76,7 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		if err != nil {
 			return nil, 0, err
 		}
-		ts, err := NewTableStore(meta, h.pool)
+		ts, err := NewTableStore(meta, h.pool, &h.stats)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -114,6 +117,7 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		if err != nil {
 			return nil, 0, err
 		}
+		ctx.Snap = &storage.Snapshot{TS: tx.SnapshotTS(), Self: int64(tx.ID)}
 		rows, err := Run(op, ctx)
 		return rows, int64(len(rows)), err
 	}

@@ -17,9 +17,9 @@ type Ctx struct {
 	Txn    *txn.Txn
 	Params map[string]sqltypes.Value
 
-	// Snap, when non-nil, makes scans of versioned tables resolve rows
-	// through their version chains at this snapshot instead of reading
-	// the heap — the MVCC read path, which takes no table locks.
+	// Snap is the snapshot every scan resolves rows through (the version
+	// chains, never the heap), so reads take no table locks. Operator
+	// trees require it; DML runs in current mode and leaves it nil.
 	Snap *storage.Snapshot
 
 	// RowsExamined counts base-table rows touched (a probe source for the
@@ -35,15 +35,6 @@ func (c *Ctx) noteDepth(d int) {
 	if d > c.MaxChain {
 		c.MaxChain = d
 	}
-}
-
-// snapFor returns the snapshot to resolve ts through, or nil for the
-// legacy heap path (non-versioned table or current-mode execution).
-func (c *Ctx) snapFor(ts *TableStore) *storage.Snapshot {
-	if c.Snap != nil && ts.Vers != nil {
-		return c.Snap
-	}
-	return nil
 }
 
 // checkCancel polls the transaction's cancellation flag.
@@ -168,21 +159,14 @@ type scanOp struct {
 	loEval   Evaluator
 	hiEval   Evaluator
 
-	// sequential state
-	pages   []storage.PageID
-	pageIdx int
-	buf     []Row // rows from the current page
-	bufIdx  int
-
-	// snapshot sequential state (versioned tables): rows materialized
-	// from the chains at Open
+	// sequential state: rows materialized from the chains at Open
 	snapRows []storage.ChainRow
 	snapIdx  int
 
 	// index state
 	useIndex bool
 	rids     []storage.RID
-	keys     [][]byte // entry keys parallel to rids (snapshot recheck)
+	keys     [][]byte // entry keys parallel to rids (stale-entry recheck)
 	ridIdx   int
 }
 
@@ -223,14 +207,10 @@ func newScanOp(ts *TableStore, access *plan.AccessPath, schema []plan.ColMeta) (
 }
 
 func (s *scanOp) Open(ctx *Ctx) error {
-	s.bufIdx, s.pageIdx, s.ridIdx, s.snapIdx = 0, 0, 0, 0
-	s.buf, s.rids, s.keys, s.snapRows = nil, nil, nil, nil
+	s.ridIdx, s.snapIdx = 0, 0
+	s.rids, s.keys, s.snapRows = nil, nil, nil
 	if !s.useIndex {
-		if snap := ctx.snapFor(s.store); snap != nil {
-			s.snapRows = s.store.Vers.SnapScan(*snap)
-			return nil
-		}
-		s.pages = s.store.Heap.PageIDs()
+		s.snapRows = s.store.Vers.SnapScan(*ctx.Snap)
 		return nil
 	}
 	bt, ok := s.store.Indexes[s.access.Index.Name]
@@ -282,12 +262,9 @@ func (s *scanOp) Open(ctx *Ctx) error {
 		hi = prefixSuccessor(prefix)
 		hiIncl = false
 	}
-	snapScan := ctx.snapFor(s.store) != nil
 	bt.ScanRange(lo, hi, loIncl, hiIncl, func(k []byte, rid storage.RID) bool {
 		s.rids = append(s.rids, rid)
-		if snapScan {
-			s.keys = append(s.keys, append([]byte(nil), k...))
-		}
+		s.keys = append(s.keys, append([]byte(nil), k...))
 		return true
 	})
 	return nil
@@ -309,128 +286,55 @@ func prefixSuccessor(prefix []byte) []byte {
 //sqlcm:cancellable
 func (s *scanOp) Next(ctx *Ctx) (Row, error) {
 	ncols := len(s.store.Meta.Columns)
-	snap := ctx.snapFor(s.store)
-	if s.useIndex {
-		for s.ridIdx < len(s.rids) {
-			if err := ctx.checkCancel(); err != nil {
-				return nil, err
+	snap := *ctx.Snap
+	for {
+		if err := ctx.checkCancel(); err != nil {
+			return nil, err
+		}
+		var rec []byte
+		if s.useIndex {
+			if s.ridIdx >= len(s.rids) {
+				return nil, nil
 			}
-			rid := s.rids[s.ridIdx]
-			i := s.ridIdx
+			r, depth, ok := s.store.Vers.ReadAt(s.rids[s.ridIdx], snap)
 			s.ridIdx++
-			var rec []byte
-			if snap != nil {
-				r, depth, ok := s.store.Vers.ReadAt(rid, *snap)
-				ctx.noteDepth(depth)
-				if !ok {
-					// Invisible to the snapshot (uncommitted, newer, or
-					// deleted); skip.
-					continue
-				}
-				rec = r
-			} else {
-				r, err := s.store.Heap.Get(rid)
-				if err != nil {
-					// The row may have been deleted between index scan and
-					// fetch within our own transaction (no cursor stability
-					// needed); skip.
-					continue
-				}
-				rec = r
-			}
-			row, err := DecodeRow(rec, ncols)
-			if err != nil {
-				return nil, err
-			}
-			if snap != nil && !bytes.Equal(s.store.IndexKey(s.access.Index, row), s.keys[i]) {
-				// Stale entry: the visible version carries a different key
-				// (deferred index cleanup); the matching key's own entry
-				// locates this row if it qualifies.
+			ctx.noteDepth(depth)
+			if !ok {
+				// Invisible to the snapshot (uncommitted, newer, or
+				// deleted); skip.
 				continue
 			}
-			ctx.RowsExamined++
-			if s.residual != nil {
-				ok, err := EvalBool(s.residual, row, ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			return row, nil
-		}
-		return nil, nil
-	}
-	if snap != nil {
-		for s.snapIdx < len(s.snapRows) {
-			if err := ctx.checkCancel(); err != nil {
-				return nil, err
+			rec = r
+		} else {
+			if s.snapIdx >= len(s.snapRows) {
+				return nil, nil
 			}
 			cr := s.snapRows[s.snapIdx]
 			s.snapIdx++
 			ctx.noteDepth(cr.Depth)
-			row, err := DecodeRow(cr.Rec, ncols)
-			if err != nil {
-				return nil, err
-			}
-			ctx.RowsExamined++
-			if s.residual != nil {
-				ok, err := EvalBool(s.residual, row, ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			return row, nil
+			rec = cr.Rec
 		}
-		return nil, nil
-	}
-	for {
-		//sqlcm:allow bounded by one page of buffered rows; the outer page loop polls
-		for s.bufIdx < len(s.buf) {
-			row := s.buf[s.bufIdx]
-			s.bufIdx++
-			ctx.RowsExamined++
-			if s.residual != nil {
-				ok, err := EvalBool(s.residual, row, ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			return row, nil
-		}
-		if s.pageIdx >= len(s.pages) {
-			return nil, nil
-		}
-		if err := ctx.checkCancel(); err != nil {
-			return nil, err
-		}
-		pid := s.pages[s.pageIdx]
-		s.pageIdx++
-		s.buf = s.buf[:0]
-		s.bufIdx = 0
-		var decodeErr error
-		err := s.store.Heap.ScanPage(pid, func(rid storage.RID, rec []byte) bool {
-			row, err := DecodeRow(rec, ncols)
-			if err != nil {
-				decodeErr = err
-				return false
-			}
-			s.buf = append(s.buf, row)
-			return true
-		})
+		row, err := DecodeRow(rec, ncols)
 		if err != nil {
 			return nil, err
 		}
-		if decodeErr != nil {
-			return nil, decodeErr
+		if s.useIndex && !bytes.Equal(s.store.IndexKey(s.access.Index, row), s.keys[s.ridIdx-1]) {
+			// Stale entry: the visible version carries a different key
+			// (deferred index cleanup); the matching key's own entry
+			// locates this row if it qualifies.
+			continue
 		}
+		ctx.RowsExamined++
+		if s.residual != nil {
+			ok, err := EvalBool(s.residual, row, ctx.Params)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		return row, nil
 	}
 }
 
@@ -803,31 +707,20 @@ func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
 		}
 		j.matches = j.matches[:0]
 		j.matchIdx = 0
-		snap := ctx.snapFor(j.store)
 		ixMeta := j.store.Meta.IndexByName(j.ix)
 		var innerErr error
 		bt.ScanRange(lo, hi, loIncl, hiIncl, func(k []byte, rid storage.RID) bool {
-			var rec []byte
-			if snap != nil {
-				r, depth, ok := j.store.Vers.ReadAt(rid, *snap)
-				ctx.noteDepth(depth)
-				if !ok {
-					return true // invisible to the snapshot; skip
-				}
-				rec = r
-			} else {
-				r, err := j.store.Heap.Get(rid)
-				if err != nil {
-					return true // row vanished; skip
-				}
-				rec = r
+			rec, depth, ok := j.store.Vers.ReadAt(rid, *ctx.Snap)
+			ctx.noteDepth(depth)
+			if !ok {
+				return true // invisible to the snapshot; skip
 			}
 			inner, err := DecodeRow(rec, j.ncols)
 			if err != nil {
 				innerErr = err
 				return false
 			}
-			if snap != nil && !bytes.Equal(j.store.IndexKey(ixMeta, inner), k) {
+			if !bytes.Equal(j.store.IndexKey(ixMeta, inner), k) {
 				return true // stale entry awaiting deferred cleanup; skip
 			}
 			ctx.RowsExamined++

@@ -12,27 +12,34 @@ import (
 	"sqlcm/internal/storage"
 )
 
-// TableStore binds a catalog table to its heap file and index structures.
+// TableStore binds a catalog table to its heap file, version chains and
+// index structures.
 type TableStore struct {
 	Meta    *catalog.Table
 	Heap    *storage.HeapFile
 	Indexes map[string]*index.BTree // keyed by index name
 
-	// Vers, when non-nil, makes the table multi-versioned: chains are the
-	// authoritative read path (snapshot and current mode), the heap
-	// mirrors the current row images, and physical deletes are deferred
-	// to the version-garbage collector. Nil for legacy (2PL-read) tables.
+	// Vers holds the row versions: the chains are the authoritative read
+	// path (snapshot and current mode), the heap mirrors the current row
+	// images, and physical deletes are deferred to the version-garbage
+	// collector.
 	Vers *storage.VersionStore
 }
 
 // NewTableStore creates storage for a table, including B+trees for every
-// index already declared in the catalog entry.
-func NewTableStore(meta *catalog.Table, pool *storage.BufferPool) (*TableStore, error) {
+// index already declared in the catalog entry. The version store reports
+// into stats, which an engine shares across all its tables.
+func NewTableStore(meta *catalog.Table, pool *storage.BufferPool, stats *storage.VersionStats) (*TableStore, error) {
 	heap, err := storage.NewHeapFile(pool)
 	if err != nil {
 		return nil, err
 	}
-	ts := &TableStore{Meta: meta, Heap: heap, Indexes: make(map[string]*index.BTree)}
+	ts := &TableStore{
+		Meta:    meta,
+		Heap:    heap,
+		Indexes: make(map[string]*index.BTree),
+		Vers:    storage.NewVersionStore(stats),
+	}
 	for _, ix := range meta.Indexes {
 		ts.Indexes[ix.Name] = index.New(ix.Unique)
 	}
@@ -48,50 +55,18 @@ func (ts *TableStore) IndexKey(ix *catalog.Index, row Row) []byte {
 	return sqltypes.EncodeKey(vals...)
 }
 
-// AddIndex registers a new B+tree for ix and populates it from the heap.
-// The scan callback runs under the page read-latch, so it only collects
-// (key, rid) pairs; the btree inserts happen after the scan returns.
-// Inserting inside the callback would nest index.btree under storage.page,
-// and the index mutex must stay a root class of the lock hierarchy (see
-// docs/lock-order.md).
+// AddIndex registers a new B+tree for ix and populates it from the current
+// row versions (the heap still holds deleted-but-unpruned rows). Entries
+// carry anchor RIDs.
 func (ts *TableStore) AddIndex(ix *catalog.Index) error {
 	bt := index.New(ix.Unique)
 	ncols := len(ts.Meta.Columns)
-	type entry struct {
-		key []byte
-		rid storage.RID
-	}
-	var entries []entry
-	if ts.Vers != nil {
-		// Versioned table: the chains are authoritative (the heap still
-		// holds deleted-but-unpruned rows). Entries carry anchor RIDs.
-		for _, cr := range ts.Vers.CurrentScan() {
-			row, err := DecodeRow(cr.Rec, ncols)
-			if err != nil {
-				return err
-			}
-			entries = append(entries, entry{key: ts.IndexKey(ix, row), rid: cr.Anchor})
-		}
-	} else {
-		var buildErr error
-		err := ts.Heap.Scan(func(rid storage.RID, rec []byte) bool {
-			row, err := DecodeRow(rec, ncols)
-			if err != nil {
-				buildErr = err
-				return false
-			}
-			entries = append(entries, entry{key: ts.IndexKey(ix, row), rid: rid})
-			return true
-		})
+	for _, cr := range ts.Vers.CurrentScan() {
+		row, err := DecodeRow(cr.Rec, ncols)
 		if err != nil {
 			return err
 		}
-		if buildErr != nil {
-			return buildErr
-		}
-	}
-	for _, e := range entries {
-		if err := bt.Insert(e.key, e.rid); err != nil {
+		if err := bt.Insert(ts.IndexKey(ix, row), cr.Anchor); err != nil {
 			return fmt.Errorf("exec: building index %s: %w", ix.Name, err)
 		}
 	}
@@ -105,9 +80,6 @@ func (ts *TableStore) AddIndex(ix *catalog.Index) error {
 // deleted before the watermark. The caller must hold the table's exclusive
 // lock (Prune itself only takes the version store's leaf latch).
 func (ts *TableStore) PruneVersions(watermark int64) {
-	if ts.Vers == nil {
-		return
-	}
 	work := ts.Vers.Prune(watermark)
 	for _, p := range work.Entries {
 		if bt := ts.Indexes[p.Index]; bt != nil {

@@ -8,10 +8,10 @@ import (
 )
 
 // TestAddIndexBuildsAfterScan is the regression test for the lock-order
-// fix in AddIndex: the B+tree is populated after Heap.Scan returns, not
-// inside the scan callback (which runs under the page read-latch, and
-// index.btree must stay a root class of the declared lock hierarchy).
-// Functionally this means an index built over an existing heap must see
+// rule in AddIndex: the B+tree is populated from a materialized scan of
+// the current row versions, never inside a scan callback that holds a
+// storage latch (index.btree must stay a root class of the declared lock
+// hierarchy). Functionally this means an index built over an existing heap must see
 // every row, including rows spanning multiple pages, and duplicate keys
 // on a unique index must surface as a build error rather than a partial
 // index.

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"sqlcm/internal/sqltypes"
 )
 
 // boundedCountSpec orders by observation count so eviction discards the
@@ -242,5 +244,82 @@ func TestResetDuringConcurrentInserts(t *testing.T) {
 	}
 	if mem := tab.Stats().MemBytes; mem < 0 {
 		t.Errorf("MemBytes went negative: %d", mem)
+	}
+}
+
+// liveMemBytes sums the recomputed size of every row still in the table.
+func liveMemBytes(tab *Table) int64 {
+	var n int64
+	for i := range tab.shards {
+		sh := &tab.shards[i]
+		sh.mu.RLock()
+		for _, r := range sh.groups {
+			r.mu.Lock()
+			n += r.memSize()
+			r.mu.Unlock()
+		}
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// TestConcurrentBoundedInsertMemAccounting pins the memory accounting of a
+// bounded LAT under the eviction race: two writers insert distinct IDs
+// into a 10-row table ordered by ID, so a freshly created row is often
+// evicted by the other writer between its update and the update's
+// accounting. Once inserts stop, MemBytes must equal the sum of the live
+// rows' sizes and the group counters must balance.
+func TestConcurrentBoundedInsertMemAccounting(t *testing.T) {
+	const (
+		writers = 2
+		perG    = 20000
+		maxRows = 10
+	)
+	tab, err := New(Spec{
+		Name:    "Last_Queries",
+		GroupBy: []string{"ID"},
+		Aggs: []AggCol{
+			{Func: Last, Attr: "Query_Text", Name: "Text"},
+			{Func: Last, Attr: "Duration", Name: "Dur"},
+		},
+		OrderBy: []OrderKey{{Col: "ID", Desc: true}},
+		MaxRows: maxRows,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				id := int64(i*writers + w)
+				attrs := map[string]sqltypes.Value{
+					"ID":         sqltypes.NewInt(id),
+					"Query_Text": sqltypes.NewString(fmt.Sprintf("SELECT * FROM t WHERE id = %d", id)),
+					"Duration":   sqltypes.NewFloat(float64(i % 100)),
+				}
+				if err := tab.Insert(func(attr string) (sqltypes.Value, bool) {
+					v, ok := attrs[attr]
+					return v, ok
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	st := tab.Stats()
+	if st.GroupCount != maxRows || len(tab.Rows()) != maxRows {
+		t.Errorf("GroupCount = %d, Rows = %d, want %d", st.GroupCount, len(tab.Rows()), maxRows)
+	}
+	if st.NewGroups-st.Evictions != int64(st.GroupCount) {
+		t.Errorf("NewGroups %d - Evictions %d != GroupCount %d", st.NewGroups, st.Evictions, st.GroupCount)
+	}
+	if want := liveMemBytes(tab); st.MemBytes != want {
+		t.Errorf("MemBytes = %d, live rows hold %d", st.MemBytes, want)
 	}
 }

@@ -395,11 +395,12 @@ func (t *Table) insert(get AttrGetter) error {
 		r = sh.groups[key]
 		if r == nil {
 			if n := len(sh.free); n > 0 {
-				// Reuse an evicted row's memory. Reinitialization happens
-				// under the row latch: a stale updater that still holds a
-				// pointer to this row revalidates its key after latching.
-				// (heapIdx is already -1: rows enter the free list only via
-				// an eviction pop.)
+				// Reuse an evicted row's memory. Reinitialization and its
+				// memory accounting happen under the row latch: a stale
+				// updater that still holds a pointer to this row
+				// revalidates its key after latching, and may then update
+				// the reused row at once. (heapIdx is already -1: rows
+				// enter the free list only via an eviction pop.)
 				r = sh.free[n-1]
 				sh.free = sh.free[:n-1]
 				r.mu.Lock()
@@ -411,6 +412,7 @@ func (t *Table) insert(get AttrGetter) error {
 				}
 				r.live = true
 				r.mem = r.memSize()
+				t.mem.Add(r.mem)
 				r.storeOrderKey(t.orderKeyLocked(r, now))
 				r.mu.Unlock()
 			} else {
@@ -423,13 +425,14 @@ func (t *Table) insert(get AttrGetter) error {
 				//sqlcm:allow fresh row: not yet published to any shard map, this goroutine has exclusive access
 				r.mem = r.memSize()
 				//sqlcm:allow fresh row: exclusive access until published below (see above)
+				t.mem.Add(r.mem)
+				//sqlcm:allow fresh row: exclusive access until published below (see above)
 				r.storeOrderKey(t.orderKeyLocked(r, now))
 			}
 			sh.groups[key] = r
 			if t.bounded {
 				heap.Push(&rowHeapRef{t: t}, r)
 			}
-			t.mem.Add(r.mem)
 			t.nGroups.Add(1)
 			t.newGroups.Add(1)
 		}
@@ -461,22 +464,20 @@ func (t *Table) insert(get AttrGetter) error {
 		r.aggs[i].add(&t.spec, col, v, now)
 	}
 	r.mem = r.memSize()
-	memDelta := r.mem - oldMem
+	// Account the update while the row latch is held: eviction retires a
+	// row under this latch, subtracting r.mem as it stands, and Reset
+	// marks every row dead under its latch before zeroing the total, so
+	// the table's memory stays the sum of its live rows' mem.
+	t.mem.Add(r.mem - oldMem)
 	r.storeOrderKey(t.orderKeyLocked(r, now))
 	r.mu.Unlock()
 
-	// Account the update's memory and — for bounded tables — reposition
-	// the row in the ordering heap and enforce limits. Membership is
-	// re-checked under the shard latch: if the row was evicted (or Reset)
-	// between the latches, its updated memory was already subtracted by
-	// the evictor, so accounting is skipped. (The local key is used, never
-	// r.key, which may be concurrently reinitialized by row reuse.)
+	// Bounded tables reposition the row in the ordering heap and enforce
+	// limits. Membership is re-checked under the shard latch: a row
+	// evicted (or Reset) between the latches has left the heap. (The
+	// local key is used, never r.key, which may be concurrently
+	// reinitialized by row reuse.)
 	if !t.bounded {
-		sh.mu.RLock()
-		if sh.groups[key] == r {
-			t.mem.Add(memDelta)
-		}
-		sh.mu.RUnlock()
 		return nil
 	}
 	t.orderMu.Lock()
@@ -485,7 +486,6 @@ func (t *Table) insert(get AttrGetter) error {
 	sh.mu.RUnlock()
 	var evicted []EvictedRow
 	if present {
-		t.mem.Add(memDelta)
 		if r.heapIdx >= 0 && len(t.spec.OrderBy) > 0 {
 			heap.Fix(&rowHeapRef{t: t}, r.heapIdx)
 		}

@@ -13,7 +13,8 @@ func TestWrappersAreUsableMutexes(t *testing.T) {
 	var rw RWMutex
 	rw.SetClass("smoke.rw")
 
-	n := 0
+	n := 0 // guarded by m
+	r := 0 // guarded by rw
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -23,8 +24,11 @@ func TestWrappersAreUsableMutexes(t *testing.T) {
 				m.Lock()
 				n++
 				m.Unlock()
+				rw.Lock()
+				r++
+				rw.Unlock()
 				rw.RLock()
-				_ = n
+				_ = r
 				rw.RUnlock()
 			}
 		}()
@@ -35,6 +39,11 @@ func TestWrappersAreUsableMutexes(t *testing.T) {
 		t.Fatalf("n = %d, want 800", n)
 	}
 	m.Unlock()
+	rw.RLock()
+	if r != 800 {
+		t.Fatalf("r = %d, want 800", r)
+	}
+	rw.RUnlock()
 
 	rw.Lock()
 	rw.Unlock()

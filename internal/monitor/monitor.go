@@ -375,7 +375,7 @@ func (q *QueryObject) Get(attr string) (sqltypes.Value, bool) {
 		}
 		return sqltypes.Null, true
 	case "Snapshot_Age":
-		// NULL when the engine runs without MVCC (no snapshot taken).
+		// NULL for a statement shed before it began (no snapshot taken).
 		if info.SnapshotAt.IsZero() {
 			return sqltypes.Null, true
 		}
@@ -383,6 +383,7 @@ func (q *QueryObject) Get(attr string) (sqltypes.Value, bool) {
 	case "Version_Chain_Length":
 		return sqltypes.NewInt(info.MaxChain()), true
 	case "Versions_Pruned":
+		// NULL, like Snapshot_Age, for a statement shed before it began.
 		if info.MVCC == nil {
 			return sqltypes.Null, true
 		}

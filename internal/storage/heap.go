@@ -46,29 +46,6 @@ func (h *HeapFile) Pages() int {
 	return len(h.pages)
 }
 
-// PageIDs returns a snapshot of the file's page ids in chain order.
-func (h *HeapFile) PageIDs() []PageID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]PageID(nil), h.pages...)
-}
-
-// ScanPage calls fn for every live record on one page. Records alias page
-// memory and are only valid within the callback.
-func (h *HeapFile) ScanPage(pid PageID, fn func(rid RID, rec []byte) bool) error {
-	p, err := h.pool.FetchPage(pid)
-	if err != nil {
-		return err
-	}
-	p.Latch.RLock()
-	SlottedScan(p, func(s Slot, rec []byte) bool {
-		return fn(RID{Page: pid, Slot: s}, rec)
-	})
-	p.Latch.RUnlock()
-	h.pool.Unpin(p, false)
-	return nil
-}
-
 // Insert stores rec and returns its RID. It tries the last page first and
 // appends a new page when full.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {

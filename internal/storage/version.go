@@ -7,9 +7,9 @@ import (
 	"sqlcm/internal/lockcheck"
 )
 
-// Multi-version row storage. Every logical row of an MVCC-enabled table
-// carries a chain of immutable versions, newest first. Writers (serialized
-// per table by the lock manager's exclusive table locks) prepend versions
+// Multi-version row storage. Every logical row of a table carries a chain
+// of immutable versions, newest first. Writers (serialized per table by
+// the lock manager's exclusive table locks) prepend versions
 // stamped with their transaction id; commit stamps the versions with a
 // monotonically increasing commit timestamp inside the transaction
 // manager's commit critical section. Readers resolve the version visible
@@ -19,9 +19,9 @@ import (
 //
 // The chains are the authoritative row storage for reads: snapshot and
 // current-mode scans iterate the chain map and return version bytes, never
-// heap bytes. The heap mirrors the current row images (for persistence and
-// for non-MVCC tables) but is not consulted on MVCC read paths — that is
-// what makes lock-free readers safe against in-place heap updates and slot
+// heap bytes. The heap mirrors the current row images (for RID allocation
+// and persistence) but is not consulted on read paths — that is what makes
+// lock-free readers safe against in-place heap updates and slot
 // relocation.
 //
 // Physical cleanup is deferred: DELETE pushes a tombstone version and

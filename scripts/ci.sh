@@ -28,6 +28,12 @@ make vet-bench
 ./scripts/staticcheck.sh
 go test ./...
 go test -race ./...
+
+# Benchmark tier: perfbench/ is its own Go module, which the root
+# build and test skip; vet and test it so an engine API it calls cannot
+# vanish unnoticed.
+(cd perfbench && go vet ./... && go test ./...)
+
 go test -race -run 'TestChaos|TestEviction' -count=1 ./internal/core/
 go test -race -count=1 ./internal/faults/ ./internal/outbox/
 
@@ -63,12 +69,11 @@ go test -race -count=1 -run TestNetChaos ./internal/loadgen/
 # that an injected aggregate fault is caught and shrunk to a tiny witness.
 SQLCM_SIM_SEEDS=64 go test -count=1 ./internal/sim/
 
-# MVCC tier: the differential visibility oracle over a 64-seed sweep, the
-# golden traces replayed on the MVCC build (fingerprints pinned
-# bit-identical), and the single-session lock-schedule invariance check
-# (identical statement results, rule journal and LAT contents with MVCC
-# on vs off).
-SQLCM_SIM_SEEDS=64 go test -count=1 -run 'TestMVCCVisibilitySweep|TestGoldenReplayMVCC|TestSingleSessionMVCCInvariance' ./internal/sim/
+# MVCC tier: the differential visibility oracle over a 64-seed sweep and
+# the single-session lock-schedule invariance check (statement results,
+# rule journal and LAT contents identical to the recorded strict-2PL
+# reference in internal/sim/testdata/invariance_2pl.ref).
+SQLCM_SIM_SEEDS=64 go test -count=1 -run 'TestMVCCVisibilitySweep|TestSingleSessionMVCCInvariance' ./internal/sim/
 
 # Coverage floors: internal/lat and internal/rules may not drop below the
 # percentages recorded when the differential oracle was introduced.
