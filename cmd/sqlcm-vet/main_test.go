@@ -44,15 +44,15 @@ func TestVetCodeClean(t *testing.T) {
 	}
 }
 
-// -analyzers lists every registered -code analyzer plus the lock
-// checker, one per line, and exits 0.
+// -analyzers lists every registered -code analyzer, one per line, and
+// exits 0.
 func TestVetAnalyzersList(t *testing.T) {
 	var out, errw strings.Builder
 	code := run([]string{"-analyzers"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, errw.String())
 	}
-	for _, name := range []string{"hotpath", "recovered", "ctxprop", "cancelpoint", "goownership", "errcode", "lockcheck"} {
+	for _, name := range []string{"hotpath", "recovered", "ctxprop", "cancelpoint", "goownership", "errcode", "lockorder"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("analyzer list missing %s:\n%s", name, out.String())
 		}

@@ -35,6 +35,14 @@
 //	                       this line is owned by the named mechanism.
 //	//sqlcm:ctx-strict   — package-doc directive: apply the serving-path
 //	                       context strictness to this package.
+//	//sqlcm:lock <class> [after <class>...]
+//	                     — on a mutex field: its lock class, and the
+//	                       classes that may be held when acquiring it.
+//	//sqlcm:lock-held <class>
+//	                     — callers hold <class> on entry to this function.
+//	//sqlcm:lock-release <class>
+//	                     — this function releases the caller's <class>
+//	                       before returning (a lock handoff).
 //	//sqlcm:guards <field,...>
 //	                     — on a //sqlcm:lock mutex field: the listed
 //	                       sibling fields may only be read with the
@@ -92,9 +100,15 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.reportTagged(p.name, pos, format, args...)
+}
+
+// reportTagged records a finding under an explicit tag, for analyzers
+// that report several kinds of finding.
+func (p *Pass) reportTagged(tag string, pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Pos:      p.Fset.Position(pos),
-		Analyzer: p.name,
+		Analyzer: tag,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -112,7 +126,7 @@ type Analyzer struct {
 
 // All returns every registered analyzer.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, Recovered, CtxProp, CancelPoint, GoOwnership, ErrCode, GuardedBy, AtomicField, CowPublish}
+	return []*Analyzer{HotPath, Recovered, CtxProp, CancelPoint, GoOwnership, ErrCode, GuardedBy, AtomicField, CowPublish, LockOrder}
 }
 
 // RunTree loads, type-checks and analyzes every package under root.
@@ -164,6 +178,9 @@ func sortDiags(diags []Diagnostic) {
 		if a.Pos.Line != b.Pos.Line {
 			return a.Pos.Line < b.Pos.Line
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }

@@ -331,41 +331,3 @@ const legacyCode = "40001"
 `)
 	wantFindings(t, diags)
 }
-
-// TestLockSummariesKeys pins the exported summary key shape: package
-// name (not import path), receiver type, method — the exact string the
-// parse-only lock checker derives at a cross-package call site.
-func TestLockSummariesKeys(t *testing.T) {
-	dir := t.TempDir()
-	src := `package x
-
-import "sync"
-
-type M struct {
-	//sqlcm:lock x.mu
-	mu sync.Mutex
-}
-
-func (m *M) Acquire() {
-	m.mu.Lock()
-	m.mu.Unlock()
-}
-
-func free() {}
-`
-	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
-		t.Fatalf("write fixture: %v", err)
-	}
-	prog, err := LoadTree(dir)
-	if err != nil {
-		t.Fatalf("LoadTree: %v", err)
-	}
-	sums := prog.LockSummaries()
-	got, ok := sums["x.M.Acquire"]
-	if !ok || len(got) != 1 || got[0] != "x.mu" {
-		t.Fatalf(`sums["x.M.Acquire"] = %v, %v; want ["x.mu"]`, got, ok)
-	}
-	if _, ok := sums["x.free"]; ok {
-		t.Fatalf("lock-free function exported a summary: %v", sums["x.free"])
-	}
-}

@@ -31,7 +31,7 @@ func runAtomicField(p *Pass) {
 	targets := p.Prog.AtomicTargets()
 	allow := buildAllowIndex(p)
 	if len(targets) > 0 {
-		walkHeldPackage(p, func(u fieldUse) {
+		walkHeldPackage(p, &heldHooks{onUse: func(u fieldUse) {
 			if !targets[u.obj] || u.atomicArg || u.fresh || allow.covers(p.Fset, u.pos) {
 				return
 			}
@@ -43,7 +43,7 @@ func runAtomicField(p *Pass) {
 			case accAddr:
 				p.Reportf(u.pos, "&%s escapes to a non-atomic callee; the pointee is accessed via sync/atomic elsewhere and must not be touched plainly", fieldRef(u.obj))
 			}
-		})
+		}})
 	}
 	checkAtomicCopies(p, targets, allow)
 }
@@ -64,6 +64,9 @@ func checkAtomicCopies(p *Pass, targets map[types.Object]bool, allow allowIndex)
 			// not copies of shared state.
 		default:
 			return
+		}
+		if info.Types[e].IsType() {
+			return // a type operand, as in new(T): no value is copied
 		}
 		t := info.TypeOf(e)
 		if t == nil {

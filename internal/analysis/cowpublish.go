@@ -35,7 +35,7 @@ var cowPublishOps = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap
 func runCowPublish(p *Pass) {
 	validateCowFields(p)
 	allow := buildAllowIndex(p)
-	walkHeldPackage(p, func(u fieldUse) {
+	walkHeldPackage(p, &heldHooks{onUse: func(u fieldUse) {
 		ff := p.FactsFor(u.obj)
 		if ff == nil {
 			return
@@ -62,7 +62,7 @@ func runCowPublish(p *Pass) {
 				p.Reportf(u.pos, "&%s escapes; the COW field must only be touched through its atomic methods", fieldRef(u.obj))
 			}
 		}
-	})
+	}})
 	for _, file := range p.Pkg.Files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {

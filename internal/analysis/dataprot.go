@@ -24,21 +24,6 @@ func (p *Program) AtomicTargets() map[types.Object]bool {
 	return p.atomicTargets
 }
 
-// LockClassNames returns every lock class declared by a //sqlcm:lock
-// field anywhere in the program, for validating the classes named by
-// //sqlcm:guarded-by and //sqlcm:cow.
-func (p *Program) LockClassNames() map[string]bool {
-	if p.lockClassSet == nil {
-		p.lockClassSet = map[string]bool{}
-		for _, pkg := range p.Packages {
-			for _, class := range pkg.Facts.LockFields {
-				p.lockClassSet[class] = true
-			}
-		}
-	}
-	return p.lockClassSet
-}
-
 // allowIndex maps filename to the source lines covered by a
 // //sqlcm:allow comment, for checks that report through the held-set
 // walker (positions, not syntax, in hand).

@@ -35,6 +35,17 @@ func (r *reg) bump() {
 	wantFindings(t, diags, "write of x.n requires the write side of x.reg, which is only read-held here")
 }
 
+func TestGuardedByDeleteIsAWrite(t *testing.T) {
+	diags := analyzeSrc(t, guardedHeader+`
+func (r *reg) drop(k string) {
+	r.mu.RLock()
+	delete(r.m, k)
+	r.mu.RUnlock()
+}
+`)
+	wantFindings(t, diags, "write of x.m requires the write side of x.reg, which is only read-held here")
+}
+
 func TestGuardedByDeferUnlockKeepsHeld(t *testing.T) {
 	diags := analyzeSrc(t, guardedHeader+`
 func (r *reg) get(k string) int {
@@ -104,6 +115,12 @@ func TestGuardedByFreshValueExempt(t *testing.T) {
 func newReg() *reg {
 	r := &reg{}
 	r.m = make(map[string]int)
+	r.n = 1
+	return r
+}
+
+func newRegNew() *reg {
+	r := new(reg)
 	r.n = 1
 	return r
 }

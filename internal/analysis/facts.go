@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -34,11 +35,17 @@ type Facts struct {
 	// block on a stop channel, or range over a channel an owner closes.
 	SelfOwned map[types.Object]bool
 	// LockClasses maps a function to the declared lock classes it may
-	// acquire, directly or transitively. This is the cross-package edge
-	// summary internal/lockcheck consumes.
+	// acquire, directly or transitively. The lockorder analyzer checks a
+	// call into another package against the callee's entry.
 	LockClasses map[types.Object][]string
 	// LockFields maps //sqlcm:lock-annotated mutex fields to their class.
 	LockFields map[types.Object]string
+	// LockAfter maps a //sqlcm:lock field to the classes its annotation
+	// orders it after ("<class> after <class>...").
+	LockAfter map[types.Object][]string
+	// FieldOwner maps every //sqlcm:lock, guarded and cow field to the
+	// name of the struct type declaring it.
+	FieldOwner map[types.Object]string
 	// GuardedBy maps struct fields to the lock class that must be held to
 	// touch them, from either spelling: a //sqlcm:guards list on the mutex
 	// field, or a per-field //sqlcm:guarded-by <class> directive.
@@ -67,6 +74,8 @@ func newFacts() *Facts {
 		SelfOwned:     map[types.Object]bool{},
 		LockClasses:   map[types.Object][]string{},
 		LockFields:    map[types.Object]string{},
+		LockAfter:     map[types.Object][]string{},
+		FieldOwner:    map[types.Object]string{},
 		GuardedBy:     map[types.Object]string{},
 		CowFields:     map[types.Object]string{},
 		AtomicUse:     map[types.Object]bool{},
@@ -176,9 +185,10 @@ func computeFacts(prog *Program, pkg *Package) {
 }
 
 // collectTypeFacts records directives attached to a type declaration:
-// //sqlcm:lock classes on struct mutex fields, //sqlcm:cancelpoint and
-// //sqlcm:callback on interface method declarations (so dynamic dispatch
-// through the interface inherits the facts).
+// //sqlcm:lock classes and their after edges on struct mutex fields,
+// //sqlcm:cancelpoint and //sqlcm:callback on interface method
+// declarations (so dynamic dispatch through the interface inherits the
+// facts).
 func collectTypeFacts(info *types.Info, f *Facts, ts *ast.TypeSpec) {
 	switch t := ts.Type.(type) {
 	case *ast.StructType:
@@ -195,6 +205,7 @@ func collectTypeFacts(info *types.Info, f *Facts, ts *ast.TypeSpec) {
 				for _, name := range field.Names {
 					if obj := info.Defs[name]; obj != nil {
 						f.GuardedBy[obj] = class
+						f.FieldOwner[obj] = ts.Name.Name
 					}
 				}
 			}
@@ -202,34 +213,35 @@ func collectTypeFacts(info *types.Info, f *Facts, ts *ast.TypeSpec) {
 				for _, name := range field.Names {
 					if obj := info.Defs[name]; obj != nil {
 						f.CowFields[obj] = class
+						f.FieldOwner[obj] = ts.Name.Name
 					}
 				}
 			}
 		}
 		for _, field := range t.Fields.List {
-			class, ok := fieldDirective(field, "lock")
-			if !ok {
-				continue
-			}
-			if i := strings.IndexByte(class, ' '); i >= 0 {
-				class = class[:i] // drop any "after <class>" tail
+			class, after, found, bad := lockDirective(field)
+			if !found || bad != "" {
+				continue // malformed annotations are lockorder's to report
 			}
 			for _, name := range field.Names {
-				if obj := info.Defs[name]; obj != nil && class != "" {
+				if obj := info.Defs[name]; obj != nil {
 					f.LockFields[obj] = class
+					f.LockAfter[obj] = after
+					f.FieldOwner[obj] = ts.Name.Name
 				}
 			}
 			// //sqlcm:guards <field,...> on the mutex binds the named
 			// sibling fields to this class ("none" declares explicitly that
 			// the mutex guards no plain fields). Unresolvable names are
 			// diagnosed by the guardedby analyzer, not here.
-			if list, ok := fieldDirective(field, "guards"); ok && class != "" {
+			if list, ok := fieldDirective(field, "guards"); ok {
 				for _, fname := range splitGuardsList(list) {
 					if fname == "none" {
 						continue
 					}
 					if obj := fieldObjs[fname]; obj != nil {
 						f.GuardedBy[obj] = class
+						f.FieldOwner[obj] = ts.Name.Name
 					}
 				}
 			}
@@ -515,6 +527,43 @@ func directiveIn(cg *ast.CommentGroup, name string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// lockDirective parses a field's //sqlcm:lock line. Grammar:
+// //sqlcm:lock <class> [after <class>...]. bad describes a malformed
+// annotation.
+func lockDirective(field *ast.Field) (class string, after []string, found bool, bad string) {
+	var lines []string
+	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
+		if cg == nil {
+			continue
+		}
+		for _, c := range cg.List {
+			text := strings.TrimSpace(c.Text)
+			if text == "//sqlcm:lock" || strings.HasPrefix(text, "//sqlcm:lock ") {
+				lines = append(lines, text)
+			}
+		}
+	}
+	switch len(lines) {
+	case 0:
+		return "", nil, false, ""
+	case 1:
+	default:
+		return "", nil, true, "more than one //sqlcm:lock line on a single field"
+	}
+	words := strings.Fields(strings.TrimPrefix(lines[0], "//sqlcm:lock"))
+	if len(words) == 0 {
+		return "", nil, true, "missing class name"
+	}
+	class, rest := words[0], words[1:]
+	if len(rest) == 0 {
+		return class, nil, true, ""
+	}
+	if rest[0] != "after" || len(rest) == 1 {
+		return "", nil, true, fmt.Sprintf("expected %q followed by class names, got %q", "after", strings.Join(rest, " "))
+	}
+	return class, rest[1:], true, ""
 }
 
 // fieldDirective scans a struct-field or interface-method declaration's

@@ -31,7 +31,7 @@ func runGuardedBy(p *Pass) {
 	validateGuardAnnotations(p)
 	validateAllowReasons(p)
 	allow := buildAllowIndex(p)
-	walkHeldPackage(p, func(u fieldUse) {
+	walkHeldPackage(p, &heldHooks{onUse: func(u fieldUse) {
 		ff := p.FactsFor(u.obj)
 		if ff == nil {
 			return
@@ -51,7 +51,7 @@ func runGuardedBy(p *Pass) {
 				"%s of %s requires the write side of %s, which is only read-held here",
 				u.kind, fieldRef(u.obj), class)
 		}
-	})
+	}})
 }
 
 // validateAllowReasons reports //sqlcm:allow comments with no trailing
@@ -79,7 +79,7 @@ func validateAllowReasons(p *Pass) {
 // guarded-by or cow directive must name a lock class that exists
 // somewhere in the program; a field must not be claimed by two classes.
 func validateGuardAnnotations(p *Pass) {
-	classes := p.Prog.LockClassNames()
+	locks := p.Prog.lockHierarchy()
 	for _, file := range p.Pkg.Files {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -95,13 +95,13 @@ func validateGuardAnnotations(p *Pass) {
 				if !ok {
 					continue
 				}
-				validateStructGuards(p, classes, st)
+				validateStructGuards(p, locks, st)
 			}
 		}
 	}
 }
 
-func validateStructGuards(p *Pass, classes map[string]bool, st *ast.StructType) {
+func validateStructGuards(p *Pass, locks *lockHierarchy, st *ast.StructType) {
 	siblings := map[string]bool{}
 	for _, field := range st.Fields.List {
 		for _, name := range field.Names {
@@ -119,12 +119,7 @@ func validateStructGuards(p *Pass, classes map[string]bool, st *ast.StructType) 
 		claimed[fname] = class
 	}
 	for _, field := range st.Fields.List {
-		lockClass, isLock := fieldDirective(field, "lock")
-		if isLock {
-			if i := strings.IndexByte(lockClass, ' '); i >= 0 {
-				lockClass = lockClass[:i]
-			}
-		}
+		lockClass, _, isLock, _ := lockDirective(field)
 		if list, ok := fieldDirective(field, "guards"); ok {
 			if !isLock {
 				p.Reportf(field.Pos(), "//sqlcm:guards on a field without //sqlcm:lock: the guards list belongs on the mutex it describes")
@@ -151,7 +146,7 @@ func validateStructGuards(p *Pass, classes map[string]bool, st *ast.StructType) 
 		if class, ok := fieldDirective(field, "guarded-by"); ok {
 			if class == "" {
 				p.Reportf(field.Pos(), "//sqlcm:guarded-by needs a lock class argument")
-			} else if !classes[class] {
+			} else if !locks.declared(class) {
 				p.Reportf(field.Pos(), "//sqlcm:guarded-by names unknown lock class %s (no //sqlcm:lock field declares it)", class)
 			} else {
 				for _, name := range field.Names {
@@ -162,7 +157,7 @@ func validateStructGuards(p *Pass, classes map[string]bool, st *ast.StructType) 
 		if class, ok := fieldDirective(field, "cow"); ok {
 			if class == "" {
 				p.Reportf(field.Pos(), "//sqlcm:cow needs a writer lock class argument")
-			} else if !classes[class] {
+			} else if !locks.declared(class) {
 				p.Reportf(field.Pos(), "//sqlcm:cow names unknown lock class %s (no //sqlcm:lock field declares it)", class)
 			}
 		}

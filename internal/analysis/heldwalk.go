@@ -8,14 +8,14 @@ import (
 	"strings"
 )
 
-// This file is the type-aware sibling of internal/lockcheck/check's
-// flow-approximate held-set walk, shared by the guardedby and cowpublish
-// analyzers. The shape is the same — branches walked on cloned held-sets
-// and merged with a maybe-held union, loops walked once, function
-// literals analyzed inline at their syntactic position, one level of
-// same-package interprocedural summaries — but lock receivers and field
-// accesses resolve through go/types instead of syntactic inference, so a
-// guarded field is recognized no matter how the expression spells it.
+// This file is the flow-approximate held-set walk shared by the
+// guardedby, cowpublish and lockorder analyzers. Branches are walked on
+// cloned held-sets and merged with a maybe-held union, loops are walked
+// once, function literals are analyzed inline at their syntactic
+// position, goroutine bodies start with nothing held, and same-package
+// calls apply a one-level interprocedural summary. Lock receivers and
+// field accesses resolve through go/types, so a guarded field or a
+// classified mutex is recognized no matter how the expression spells it.
 
 // accessKind classifies one use of a struct field.
 type accessKind int
@@ -41,9 +41,11 @@ func (k accessKind) String() string {
 
 // heldEntry is how one lock class is held at a program point.
 type heldEntry struct {
-	write      bool // held via Lock/TryLock, not just the read side
-	maybe      bool // held on only some merged control-flow paths
-	fromCaller bool // seeded by //sqlcm:lock-held or //sqlcm:lock-release
+	pos        token.Pos // acquisition site (function entry when caller-held)
+	write      bool      // held via Lock/TryLock, not just the read side
+	maybe      bool      // held on only some merged control-flow paths
+	fromCaller bool      // seeded by //sqlcm:lock-held or //sqlcm:lock-release, or inherited by an inline callback
+	deferred   bool      // a deferred unlock releases it at return
 }
 
 // fieldUse is one access to a struct field, delivered to the analyzer
@@ -64,14 +66,38 @@ type fieldUse struct {
 type heldSummary struct {
 	requires []string        // //sqlcm:lock-held classes
 	releases []string        // //sqlcm:lock-release classes
+	acquires []string        // classes the body itself acquires, sorted
 	net      map[string]bool // class -> write-mode held at fall-off exit
 }
 
-// walkHeldPackage walks every function of the package, delivering each
-// struct-field access to onUse with the held-set current at that point.
-func walkHeldPackage(p *Pass, onUse func(fieldUse)) {
+// heldHooks observe the reporting pass of a package walk (never the
+// summary pass). The field-access analyzers set onUse; lockorder sets
+// the lock-event hooks, each called before the walk updates its held-set.
+type heldHooks struct {
+	onUse func(fieldUse)
+	// acquire sees a Lock/RLock/TryLock/TryRLock of a classified mutex.
+	acquire func(w *heldWalker, class string, pos token.Pos)
+	// release sees an Unlock/RUnlock of a classified mutex.
+	release func(w *heldWalker, class string, pos token.Pos)
+	// unresolved sees a sync mutex operation whose class is unknown.
+	unresolved func(w *heldWalker, call *ast.CallExpr, sel *ast.SelectorExpr)
+	// call sees every call to a resolved function or method; s is the
+	// same-package summary, nil for other callees.
+	call func(w *heldWalker, call *ast.CallExpr, callee *types.Func, s *heldSummary)
+	// send sees a channel send that can block (not in a select with a
+	// default clause).
+	send func(w *heldWalker, pos token.Pos)
+	// exit sees every return, and the fall-off end of a declared
+	// function's body.
+	exit func(w *heldWalker, pos token.Pos)
+}
+
+// walkHeldPackage walks every function of the package, delivering field
+// accesses and lock events to hooks with the held-set current at that
+// point.
+func walkHeldPackage(p *Pass, hooks *heldHooks) {
 	sums := map[types.Object]*heldSummary{}
-	// Pass 1: summaries, with access reporting disabled.
+	// Pass 1: summaries, with the hooks disabled.
 	for _, file := range p.Pkg.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -82,62 +108,80 @@ func walkHeldPackage(p *Pass, onUse func(fieldUse)) {
 			if obj == nil {
 				continue
 			}
-			sums[obj] = walkHeldFunc(p, fn, sums, nil)
+			sums[obj] = walkHeldFunc(p, fn, sums, &heldHooks{})
 		}
 	}
-	// Pass 2: re-walk with summaries applied and accesses reported.
+	// Pass 2: re-walk with summaries applied and the hooks enabled.
 	for _, file := range p.Pkg.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
-			walkHeldFunc(p, fn, sums, onUse)
+			walkHeldFunc(p, fn, sums, hooks)
 		}
 	}
 }
 
+// heldFunc is the per-function state every clone of a walker shares.
+type heldFunc struct {
+	releases map[string]bool       // //sqlcm:lock-release classes
+	acquired map[string]bool       // classes acquired anywhere in the body
+	fresh    map[types.Object]bool // locals holding unpublished values
+}
+
 // walkHeldFunc walks one function and returns its summary.
-func walkHeldFunc(p *Pass, fn *ast.FuncDecl, sums map[types.Object]*heldSummary, onUse func(fieldUse)) *heldSummary {
-	w := &heldWalker{
-		pass:  p,
-		info:  p.Pkg.Info,
-		sums:  sums,
-		onUse: onUse,
-		fresh: freshLocals(p.Pkg.Info, fn),
-		held:  map[string]*heldEntry{},
-	}
+func walkHeldFunc(p *Pass, fn *ast.FuncDecl, sums map[types.Object]*heldSummary, hooks *heldHooks) *heldSummary {
 	s := &heldSummary{
 		requires: funcDirectiveArgs(fn, "lock-held"),
 		releases: funcDirectiveArgs(fn, "lock-release"),
 		net:      map[string]bool{},
 	}
+	w := &heldWalker{
+		pass:  p,
+		info:  p.Pkg.Info,
+		sums:  sums,
+		hooks: hooks,
+		fn: &heldFunc{
+			releases: map[string]bool{},
+			acquired: map[string]bool{},
+			fresh:    freshLocals(p.Pkg.Info, fn),
+		},
+		held: map[string]*heldEntry{},
+	}
 	for _, class := range s.requires {
-		w.held[class] = &heldEntry{write: true, fromCaller: true}
+		w.held[class] = &heldEntry{pos: fn.Pos(), write: true, fromCaller: true}
 	}
 	for _, class := range s.releases {
-		w.held[class] = &heldEntry{write: true, fromCaller: true}
+		w.fn.releases[class] = true
+		w.held[class] = &heldEntry{pos: fn.Pos(), write: true, fromCaller: true}
 	}
 	if fn.Body == nil {
 		return s
 	}
-	w.walkBlock(fn.Body.List)
+	if !w.walkBlock(fn.Body.List) && hooks.exit != nil {
+		hooks.exit(w, fn.Body.Rbrace)
+	}
 	for class, e := range w.held {
-		if !e.fromCaller && !e.maybe {
+		if !e.fromCaller && !e.maybe && !e.deferred {
 			s.net[class] = e.write
 		}
 	}
+	for class := range w.fn.acquired {
+		s.acquires = append(s.acquires, class)
+	}
+	sort.Strings(s.acquires)
 	return s
 }
 
 // heldWalker tracks the held lock classes along one control-flow path.
-// Branches run on clones; sums, fresh and the callback are shared.
+// Branches run on clones; sums, fn and the hooks are shared.
 type heldWalker struct {
 	pass  *Pass
 	info  *types.Info
 	sums  map[types.Object]*heldSummary
-	onUse func(fieldUse)
-	fresh map[types.Object]bool
+	hooks *heldHooks
+	fn    *heldFunc
 	held  map[string]*heldEntry
 }
 
@@ -147,7 +191,19 @@ func (w *heldWalker) clone() *heldWalker {
 		c := *v
 		nh[k] = &c
 	}
-	return &heldWalker{pass: w.pass, info: w.info, sums: w.sums, onUse: w.onUse, fresh: w.fresh, held: nh}
+	return &heldWalker{pass: w.pass, info: w.info, sums: w.sums, hooks: w.hooks, fn: w.fn, held: nh}
+}
+
+// inherit returns a clone for walking a function literal at its
+// syntactic position: the held classes are the enclosing function's
+// responsibility, so ordering inside the literal is checked against
+// them but a return inside it is not a leak.
+func (w *heldWalker) inherit() *heldWalker {
+	lw := w.clone()
+	for _, e := range lw.held {
+		e.fromCaller = true
+	}
+	return lw
 }
 
 // unionInto merges o's held-set in: a class held on any incoming path
@@ -158,6 +214,7 @@ func (w *heldWalker) unionInto(o *heldWalker) {
 		if mine, ok := w.held[k]; ok {
 			mine.maybe = mine.maybe || v.maybe
 			mine.write = mine.write && v.write
+			mine.deferred = mine.deferred || v.deferred
 		} else {
 			c := *v
 			c.maybe = true
@@ -185,6 +242,14 @@ func (w *heldWalker) walkBlock(stmts []ast.Stmt) bool {
 func (w *heldWalker) walkStmt(s ast.Stmt) bool {
 	switch st := s.(type) {
 	case *ast.ExprStmt:
+		if call, ok := unparen(st.X).(*ast.CallExpr); ok && isBuiltin(w.info, call.Fun, "panic") {
+			// A panicking path dies (or is quarantined by a recover
+			// upstream): the locks it holds are not a leak.
+			for _, a := range call.Args {
+				w.scanExpr(a, accRead)
+			}
+			return true
+		}
 		w.scanExpr(st.X, accRead)
 	case *ast.AssignStmt:
 		for _, e := range st.Rhs {
@@ -212,6 +277,9 @@ func (w *heldWalker) walkStmt(s ast.Stmt) bool {
 		for _, e := range st.Results {
 			w.scanExpr(e, accRead)
 		}
+		if w.hooks.exit != nil {
+			w.hooks.exit(w, st.Pos())
+		}
 		return true
 	case *ast.BranchStmt:
 		return true
@@ -229,6 +297,9 @@ func (w *heldWalker) walkStmt(s ast.Stmt) bool {
 			w.scanExpr(a, accRead)
 		}
 	case *ast.SendStmt:
+		if w.hooks.send != nil {
+			w.hooks.send(w, st.Arrow)
+		}
 		w.scanExpr(st.Chan, accRead)
 		w.scanExpr(st.Value, accRead)
 	case *ast.IfStmt:
@@ -287,19 +358,7 @@ func (w *heldWalker) walkStmt(s ast.Stmt) bool {
 		}
 		w.walkCases(st.Body)
 	case *ast.SelectStmt:
-		for _, cs := range st.Body.List {
-			cc, ok := cs.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			cw := w.clone()
-			if cc.Comm != nil {
-				cw.walkStmt(cc.Comm)
-			}
-			if !cw.walkBlock(cc.Body) {
-				w.unionInto(cw)
-			}
-		}
+		w.walkSelect(st)
 	case *ast.LabeledStmt:
 		return w.walkStmt(st.Stmt)
 	}
@@ -324,19 +383,60 @@ func (w *heldWalker) walkCases(body *ast.BlockStmt) {
 	}
 }
 
-// handleDefer processes a deferred call. A deferred unlock keeps the
-// class held for the rest of the walk (exactly what the access checks
-// want); any other deferred call is scanned for accesses under the
-// current held-set, which is the conservative approximation.
-func (w *heldWalker) handleDefer(call *ast.CallExpr) {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && lockReleaseOps[sel.Sel.Name] {
-		if _, ok := lockClassOf(w.pass.Prog, w.info, sel.X); ok {
-			return // deferred unlock: class stays held until return
+// walkSelect walks each communication clause on a clone. A send in a
+// select with a default clause cannot block, so it is not reported to
+// the send hook.
+func (w *heldWalker) walkSelect(st *ast.SelectStmt) {
+	hasDefault := false
+	for _, cs := range st.Body.List {
+		if cc, ok := cs.(*ast.CommClause); ok && cc.Comm == nil {
+			hasDefault = true
 		}
 	}
+	for _, cs := range st.Body.List {
+		cc, ok := cs.(*ast.CommClause)
+		if !ok {
+			continue
+		}
+		cw := w.clone()
+		if send, ok := cc.Comm.(*ast.SendStmt); ok {
+			if !hasDefault && w.hooks.send != nil {
+				w.hooks.send(cw, send.Arrow)
+			}
+			cw.scanExpr(send.Chan, accRead)
+			cw.scanExpr(send.Value, accRead)
+		} else if cc.Comm != nil {
+			cw.walkStmt(cc.Comm)
+		}
+		if !cw.walkBlock(cc.Body) {
+			w.unionInto(cw)
+		}
+	}
+}
+
+// handleDefer processes a deferred call. A deferred unlock keeps the
+// class held for the rest of the walk (exactly what the access checks
+// want) but marks it deferred, so it is no leak at return. A deferred
+// literal is walked like an inline callback, after marking the classes
+// it unlocks; any other deferred call is scanned for accesses under the
+// current held-set, which is the conservative approximation.
+func (w *heldWalker) handleDefer(call *ast.CallExpr) {
+	if class, ok := w.unlockClass(call); ok {
+		if e := w.held[class]; e != nil {
+			e.deferred = true
+		}
+		return
+	}
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		lw := w.clone()
-		lw.walkBlock(lit.Body.List)
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				if class, ok := w.unlockClass(c); ok && w.held[class] != nil {
+					w.held[class].deferred = true
+				}
+			}
+			return true
+		})
+		w.inherit().walkBlock(lit.Body.List)
 		return
 	}
 	w.scanExpr(call.Fun, accRead)
@@ -345,7 +445,18 @@ func (w *heldWalker) handleDefer(call *ast.CallExpr) {
 	}
 }
 
-// lockReleaseOps mirrors internal/lockcheck/check.
+// unlockClass resolves an Unlock/RUnlock call on a classified mutex to
+// its class.
+func (w *heldWalker) unlockClass(call *ast.CallExpr) (string, bool) {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !lockReleaseOps[sel.Sel.Name] {
+		return "", false
+	}
+	return lockClassOf(w.pass.Prog, w.info, sel.X)
+}
+
+// lockReleaseOps are the methods that release a latch when called
+// through a selector.
 var lockReleaseOps = map[string]bool{"Unlock": true, "RUnlock": true}
 
 // scanExpr classifies field uses in an expression, applying lock
@@ -400,21 +511,17 @@ func (w *heldWalker) scanExpr(e ast.Expr, kind accessKind) {
 	case *ast.FuncLit:
 		// Literals run synchronously at their syntactic position in this
 		// codebase (scan callbacks): walk inline under the current held-set.
-		lw := w.clone()
-		for _, entry := range lw.held {
-			entry.fromCaller = true
-		}
-		lw.walkBlock(x.Body.List)
+		w.inherit().walkBlock(x.Body.List)
 	case *ast.IndexListExpr:
 		w.scanExpr(x.X, kind)
 	}
 }
 
 // scanCall handles one call expression: a lock operation, a raw
-// sync/atomic call, a method on a field, a builtin, or a same-package
-// call whose summary is applied.
+// sync/atomic call, a method on a field, a builtin, or a call to a
+// resolved function (whose same-package summary is applied).
 func (w *heldWalker) scanCall(call *ast.CallExpr) {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "delete" && w.info.Uses[id] == nil {
+	if isBuiltin(w.info, call.Fun, "delete") {
 		// builtin delete mutates the map argument.
 		if len(call.Args) == 2 {
 			w.scanExpr(call.Args[0], accWrite)
@@ -437,14 +544,17 @@ func (w *heldWalker) scanCall(call *ast.CallExpr) {
 		if lockAcquireOps[op] || lockReleaseOps[op] {
 			if class, ok := lockClassOf(w.pass.Prog, w.info, sel.X); ok {
 				if lockAcquireOps[op] {
-					w.acquire(class, op == "Lock" || op == "TryLock")
+					w.acquire(class, op == "Lock" || op == "TryLock", call.Pos())
 				} else {
-					w.release(class)
+					w.release(class, call.Pos())
 				}
 				for _, a := range call.Args {
 					w.scanExpr(a, accRead)
 				}
 				return
+			}
+			if w.hooks.unresolved != nil && isSyncMethod(calleeOf(w.info, call)) {
+				w.hooks.unresolved(w, call, sel)
 			}
 		}
 		if obj := fieldObjOf(w.info, sel); obj != nil {
@@ -465,6 +575,7 @@ func (w *heldWalker) scanCall(call *ast.CallExpr) {
 				for _, a := range call.Args {
 					w.scanExpr(a, accRead)
 				}
+				w.applyCall(call)
 				return
 			}
 		}
@@ -473,19 +584,26 @@ func (w *heldWalker) scanCall(call *ast.CallExpr) {
 	for _, a := range call.Args {
 		w.scanExpr(a, accRead)
 	}
-	if callee := calleeOf(w.info, call); callee != nil {
-		if s := w.sums[callee]; s != nil {
-			w.applySummary(s)
-		}
-	}
+	w.applyCall(call)
 }
 
-// applySummary replays a same-package callee's net lock effects at the
-// call site.
-func (w *heldWalker) applySummary(s *heldSummary) {
+// applyCall shows a resolved call to the call hook, then replays a
+// same-package callee's net lock effects at the call site.
+func (w *heldWalker) applyCall(call *ast.CallExpr) {
+	callee, ok := calleeOf(w.info, call).(*types.Func)
+	if !ok {
+		return
+	}
+	s := w.sums[callee]
+	if w.hooks.call != nil {
+		w.hooks.call(w, call, callee, s)
+	}
+	if s == nil {
+		return
+	}
 	for class, write := range s.net {
 		if _, ok := w.held[class]; !ok {
-			w.held[class] = &heldEntry{write: write}
+			w.held[class] = &heldEntry{pos: call.Pos(), write: write}
 		}
 	}
 	for _, class := range s.releases {
@@ -493,28 +611,54 @@ func (w *heldWalker) applySummary(s *heldSummary) {
 	}
 }
 
-func (w *heldWalker) acquire(class string, write bool) {
+func (w *heldWalker) acquire(class string, write bool, pos token.Pos) {
+	w.fn.acquired[class] = true
+	if w.hooks.acquire != nil {
+		w.hooks.acquire(w, class, pos)
+	}
 	if e, ok := w.held[class]; ok {
-		// A re-acquire on a maybe-held path makes it definite; the
-		// double-acquire report is lockcheck's to make.
+		// A re-acquire on a maybe-held path makes it definite (the
+		// double-acquire of a definitely held class is lockorder's report).
+		if e.maybe {
+			e.pos = pos
+		}
 		e.maybe = false
 		e.write = e.write || write
 		e.fromCaller = false
 		return
 	}
-	w.held[class] = &heldEntry{write: write}
+	w.held[class] = &heldEntry{pos: pos, write: write}
 }
 
-func (w *heldWalker) release(class string) {
+func (w *heldWalker) release(class string, pos token.Pos) {
+	if w.hooks.release != nil {
+		w.hooks.release(w, class, pos)
+	}
 	delete(w.held, class)
+}
+
+// isBuiltin reports whether fun names the given predeclared function.
+func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
+	id, ok := unparen(fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, ok = info.Uses[id].(*types.Builtin)
+	return ok
+}
+
+// isSyncMethod reports whether obj is a sync.Mutex or sync.RWMutex
+// method (possibly promoted through an embedding lockcheck wrapper).
+func isSyncMethod(obj types.Object) bool {
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
 }
 
 // emit delivers one field use to the analyzer callback.
 func (w *heldWalker) emit(obj types.Object, pos token.Pos, kind accessKind, call string, atomicArg, fresh bool) {
-	if w.onUse == nil {
+	if w.hooks.onUse == nil {
 		return
 	}
-	w.onUse(fieldUse{
+	w.hooks.onUse(fieldUse{
 		obj:       obj,
 		pos:       pos,
 		kind:      kind,
@@ -537,7 +681,7 @@ func (w *heldWalker) isFresh(recv ast.Expr) bool {
 	if obj == nil {
 		obj = w.info.Defs[id]
 	}
-	return obj != nil && w.fresh[obj]
+	return obj != nil && w.fn.fresh[obj]
 }
 
 // isFreshAddr applies the freshness check to an &x.f argument.
@@ -628,8 +772,7 @@ func isFreshAlloc(info *types.Info, e ast.Expr) bool {
 		_, ok := unparen(x.X).(*ast.CompositeLit)
 		return x.Op == token.AND && ok
 	case *ast.CallExpr:
-		id, ok := unparen(x.Fun).(*ast.Ident)
-		return ok && id.Name == "new" && info.Uses[id] == nil
+		return isBuiltin(info, x.Fun, "new")
 	}
 	return false
 }
@@ -649,12 +792,7 @@ func heldList(held map[string]*heldEntry) string {
 	if len(held) == 0 {
 		return "no lock"
 	}
-	out := make([]string, 0, len(held))
-	for k := range held {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return strings.Join(out, ", ")
+	return strings.Join(sortedKeys(held), ", ")
 }
 
 // funcDirectiveArgs returns the whitespace-separated arguments of every

@@ -11,11 +11,11 @@ import (
 // into per-query overhead the embedder never asked for. Hot-path
 // functions also must not acquire locks that lack a //sqlcm:lock class
 // annotation: unclassed locks are invisible to the lockdep machinery
-// (static order checking in internal/lockcheck/check and the
-// sqlcmlockdep runtime build), so a latch the hot path takes must be part
-// of the declared hierarchy. Functions opt in with //sqlcm:hotpath; a
-// deliberate exception (e.g. a clock read gated behind an optional
-// latency budget) is suppressed line-by-line with //sqlcm:allow <reason>.
+// (the lockorder analyzer and the sqlcmlockdep runtime build), so a
+// latch the hot path takes must be part of the declared hierarchy.
+// Functions opt in with //sqlcm:hotpath; a deliberate exception (e.g. a
+// clock read gated behind an optional latency budget) is suppressed
+// line-by-line with //sqlcm:allow <reason>.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid clock reads, fmt allocation and un-annotated locks in //sqlcm:hotpath functions",

@@ -36,9 +36,10 @@ type Program struct {
 	byPath map[string]*Package
 
 	// Lazy whole-program unions over per-package facts, built on first
-	// use by the data-protection analyzers (single-threaded RunProgram).
+	// use by the data-protection and lock-order analyzers
+	// (single-threaded RunProgram).
 	atomicTargets map[types.Object]bool
-	lockClassSet  map[string]bool
+	locks         *lockHierarchy
 }
 
 // Package is one loaded package: build-selected non-test files carry

@@ -1,4 +1,4 @@
-package check
+package analysis
 
 import (
 	"fmt"
@@ -8,11 +8,12 @@ import (
 	"strings"
 )
 
-// BuildDoc renders the declared hierarchy as the golden docs/lock-order.md.
-// Output is deterministic and position-free (field names, not line
-// numbers), so it only changes when an annotation changes. root makes the
-// declaration paths repo-relative.
-func BuildDoc(h *Hierarchy, root string) string {
+// LockOrderDoc renders the program's declared lock hierarchy as the
+// golden docs/lock-order.md. Output is deterministic and position-free
+// (field names, not line numbers), so it only changes when an annotation
+// changes; declaration paths are relative to the program root.
+func (p *Program) LockOrderDoc() string {
+	h := p.lockHierarchy()
 	var b strings.Builder
 	b.WriteString("# Lock order\n\n")
 	b.WriteString("Generated from `//sqlcm:lock`, `//sqlcm:guards`, `//sqlcm:guarded-by`\n")
@@ -29,37 +30,32 @@ func BuildDoc(h *Hierarchy, root string) string {
 	b.WriteString("`//sqlcm:cow` on the field) and enforced by the data-protection\n")
 	b.WriteString("analyzers in `sqlcm-vet -code`.\n\n")
 
-	names := make([]string, 0, len(h.Classes))
-	for n := range h.Classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
+	names := sortedKeys(h.classes)
 	b.WriteString("## Classes\n\n")
 	b.WriteString("| Class | May be acquired while holding | Guarded fields | Declared on |\n")
 	b.WriteString("|---|---|---|---|\n")
 	for _, n := range names {
-		c := h.Classes[n]
+		c := h.classes[n]
 		after := "— (root)"
-		if len(c.After) > 0 {
-			after = strings.Join(sortedKeys(c.After), ", ")
+		if len(c.after) > 0 {
+			after = strings.Join(sortedKeys(c.after), ", ")
 		}
 		guards := "—"
-		if len(c.Guards) > 0 {
-			gs := append([]string(nil), c.Guards...)
+		if len(c.guards) > 0 {
+			gs := append([]string(nil), c.guards...)
 			sort.Strings(gs)
 			guards = fmt.Sprintf("`%s`", strings.Join(gs, "`, `"))
 		}
-		fields := append([]string(nil), c.Fields...)
+		fields := append([]string(nil), c.fields...)
 		sort.Strings(fields)
-		decl := fmt.Sprintf("`%s` (%s)", strings.Join(fields, "`, `"), relPath(c.Decl, root))
+		decl := fmt.Sprintf("`%s` (%s)", strings.Join(fields, "`, `"), relPath(p.Fset.Position(c.decl), p.RootDir))
 		b.WriteString(fmt.Sprintf("| %s | %s | %s | %s |\n", n, after, guards, decl))
 	}
 
 	b.WriteString("\n## Declared edges\n\n")
 	edges := 0
 	for _, n := range names {
-		for _, a := range sortedKeys(h.Classes[n].After) {
+		for _, a := range sortedKeys(h.classes[n].after) {
 			b.WriteString(fmt.Sprintf("- %s -> %s\n", a, n))
 			edges++
 		}
@@ -69,7 +65,7 @@ func BuildDoc(h *Hierarchy, root string) string {
 	}
 
 	b.WriteString("\n## Chains\n\n")
-	chains := buildChains(h, names)
+	chains := h.chains(names)
 	if len(chains) == 0 {
 		b.WriteString("(no nesting declared)\n")
 	}
@@ -79,16 +75,16 @@ func BuildDoc(h *Hierarchy, root string) string {
 	return b.String()
 }
 
-// buildChains lists every maximal root-to-leaf path through the declared
+// chains lists every maximal root-to-leaf path through the declared
 // DAG, sorted. The SQLCM hierarchies are short, so full enumeration is
 // cheap.
-func buildChains(h *Hierarchy, names []string) [][]string {
+func (h *lockHierarchy) chains(names []string) [][]string {
 	succs := map[string][]string{}
 	hasPred := map[string]bool{}
 	hasSucc := map[string]bool{}
 	for _, n := range names {
-		for _, a := range sortedKeys(h.Classes[n].After) {
-			if _, ok := h.Classes[a]; !ok {
+		for _, a := range sortedKeys(h.classes[n].after) {
+			if _, ok := h.classes[a]; !ok {
 				continue
 			}
 			succs[a] = append(succs[a], n)
@@ -129,21 +125,4 @@ func relPath(pos token.Position, root string) string {
 		return filepath.ToSlash(rel)
 	}
 	return pos.Filename
-}
-
-// DocTree parses the tree under root and renders its lock-order document.
-// Annotation problems (unknown classes, cycles) surface as diagnostics
-// from RunTree, not here; the document renders what is declared.
-func DocTree(root string) (string, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parseTree(fset, root)
-	if err != nil {
-		return "", err
-	}
-	h := NewHierarchy()
-	drop := func(Diagnostic) {}
-	for _, files := range pkgs {
-		collectAnnotations(fset, files, h, drop)
-	}
-	return BuildDoc(h, root), nil
 }

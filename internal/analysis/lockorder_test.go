@@ -1,4 +1,4 @@
-package check
+package analysis
 
 import (
 	"os"
@@ -7,33 +7,20 @@ import (
 	"testing"
 )
 
-// runSrc analyzes one in-memory file as a package.
-func runSrc(t *testing.T, src string) []Diagnostic {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "fixture.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatalf("write fixture: %v", err)
-	}
-	diags, err := RunFiles([]string{path})
-	if err != nil {
-		t.Fatalf("RunFiles: %v", err)
-	}
-	return diags
-}
-
-func wantFindings(t *testing.T, diags []Diagnostic, substrs ...string) {
-	t.Helper()
-	if len(diags) != len(substrs) {
-		t.Fatalf("got %d findings, want %d:\n%v", len(diags), len(substrs), diags)
-	}
-	for i, want := range substrs {
-		if !strings.Contains(diags[i].String(), want) {
-			t.Errorf("finding %d = %q, want substring %q", i, diags[i], want)
+// lockFindings keeps the lockorder analyzer's findings (all four tags):
+// these fixtures seed lock defects, not the other analyzers' patterns.
+func lockFindings(diags []Diagnostic) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range diags {
+		switch d.Analyzer {
+		case "lockorder", "lockunlock", "locksend", "lockclass":
+			out = append(out, d)
 		}
 	}
+	return out
 }
 
-const header = `package x
+const lockHeader = `package x
 
 import "sync"
 
@@ -47,29 +34,29 @@ type guarded struct {
 `
 
 func TestDeclaredOrderAccepted(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 func (g *guarded) ok() {
 	g.a.Lock()
 	g.b.Lock()
 	g.b.Unlock()
 	g.a.Unlock()
 }
-`))
+`)))
 }
 
 func TestInversionFlagged(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 func (g *guarded) bad() {
 	g.b.Lock()
 	g.a.Lock()
 	g.a.Unlock()
 	g.b.Unlock()
 }
-`), `acquiring "x.a" while holding "x.b"`)
+`)), `acquiring "x.a" while holding "x.b"`)
 }
 
 func TestTryLockIsAnAcquire(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 func (g *guarded) bad() {
 	g.b.Lock()
 	if g.a.TryLock() {
@@ -77,11 +64,11 @@ func (g *guarded) bad() {
 	}
 	g.b.Unlock()
 }
-`), `acquiring "x.a" while holding "x.b"`)
+`)), `acquiring "x.a" while holding "x.b"`)
 }
 
 func TestRWMutexSharesClass(t *testing.T) {
-	wantFindings(t, runSrc(t, `package x
+	wantFindings(t, lockFindings(analyzeSrc(t, `package x
 
 import "sync"
 
@@ -98,13 +85,13 @@ func (g *g2) bad() {
 	g.rw.RUnlock()
 	g.m.Unlock()
 }
-`), `acquiring "x.rw" while holding "x.m"`)
+`)), `acquiring "x.rw" while holding "x.m"`)
 }
 
 func TestInterproceduralSummary(t *testing.T) {
 	// callee locks x.b; calling it while holding x.a is legal (a -> b),
 	// while holding x.b is a same-class double acquire.
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 func (g *guarded) lockB() {
 	g.b.Lock()
 	g.b.Unlock()
@@ -121,11 +108,11 @@ func (g *guarded) bad() {
 	g.lockB()
 	g.b.Unlock()
 }
-`), `call to guarded.lockB acquires "x.b" which is already held`)
+`)), `call to guarded.lockB acquires "x.b" which is already held`)
 }
 
 func TestLockHeldRequirement(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 //sqlcm:lock-held x.a
 func (g *guarded) stepLocked() {}
 
@@ -138,13 +125,13 @@ func (g *guarded) ok() {
 func (g *guarded) bad() {
 	g.stepLocked()
 }
-`), `call to guarded.stepLocked requires "x.a" to be held`)
+`)), `call to guarded.stepLocked requires "x.a" to be held`)
 }
 
 func TestLockHandoff(t *testing.T) {
 	// The waitLocked pattern: enter held, release inside, re-acquire and
 	// release again on a branch. No findings.
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 //sqlcm:lock-held x.a
 //sqlcm:lock-release x.a
 func (g *guarded) waitLocked(fail bool) error {
@@ -162,13 +149,13 @@ func (g *guarded) acquire() error {
 	g.a.Lock()
 	return g.waitLocked(false)
 }
-`))
+`)))
 }
 
 func TestConditionalPairedLock(t *testing.T) {
 	// "if cond { lock }; work; if cond { unlock }" must not report: the
 	// class is only maybe-held after the merge.
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 func (g *guarded) insert(bounded bool) {
 	if bounded {
 		g.a.Lock()
@@ -179,11 +166,11 @@ func (g *guarded) insert(bounded bool) {
 		g.a.Unlock()
 	}
 }
-`))
+`)))
 }
 
 func TestMaybeHeldStillOrdersAcquires(t *testing.T) {
-	wantFindings(t, runSrc(t, `package x
+	wantFindings(t, lockFindings(analyzeSrc(t, `package x
 
 import "sync"
 
@@ -204,11 +191,11 @@ func (g *g3) bad(cond bool) {
 		g.b.Unlock()
 	}
 }
-`), `acquiring "y.a" while holding "y.b"`)
+`)), `acquiring "y.a" while holding "y.b"`)
 }
 
 func TestGoroutineBodyStartsUnlocked(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 func (g *guarded) ok() {
 	g.a.Lock()
 	go func() {
@@ -216,11 +203,11 @@ func (g *guarded) ok() {
 	}()
 	g.a.Unlock()
 }
-`))
+`)))
 }
 
 func TestDeferredUnlockInLiteral(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 func (g *guarded) ok() {
 	g.a.Lock()
 	defer func() {
@@ -230,13 +217,13 @@ func (g *guarded) ok() {
 		return
 	}
 }
-`))
+`)))
 }
 
 func TestCallbackReturnIsNotALeak(t *testing.T) {
 	// A return inside an inline callback must not report the enclosing
 	// function's held locks as leaked.
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 func (g *guarded) scan(fn func(int) bool) {}
 
 func (g *guarded) ok() {
@@ -249,25 +236,50 @@ func (g *guarded) ok() {
 	})
 	g.a.Unlock()
 }
-`))
+`)))
 }
 
 func TestUnlockNotHeld(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
 func (g *guarded) bad() {
 	g.a.Unlock()
 }
-`), `unlock of "x.a" which is not held`)
+`)), `unlock of "x.a" which is not held`)
+}
+
+func TestPanicEndsPath(t *testing.T) {
+	// A panicking path is no leak, and it drops out of the merge: after
+	// bad's if, x.a is definitely held, so falling off the end leaks it.
+	wantFindings(t, lockFindings(analyzeSrc(t, lockHeader+`
+func (g *guarded) ok(stop bool) {
+	g.a.Lock()
+	if stop {
+		panic("stop")
+	}
+	g.a.Unlock()
+}
+
+func (g *guarded) bad(stop bool) {
+	g.a.Lock()
+	if stop {
+		g.a.Unlock()
+		panic("stop")
+	}
+}
+`)), `lock "x.a" acquired at`)
 }
 
 func TestDocRendersChains(t *testing.T) {
-	h := NewHierarchy()
-	diags := runSrc(t, header) // populates nothing here; build doc directly
-	_ = diags
-	h.Classes["x.a"] = &Class{Name: "x.a", After: map[string]bool{}, Fields: []string{"x.guarded.a"}}
-	h.Classes["x.b"] = &Class{Name: "x.b", After: map[string]bool{"x.a": true}, Fields: []string{"x.guarded.b"}}
-	doc := BuildDoc(h, "")
-	for _, want := range []string{"x.a -> x.b", "| x.a | — (root) |", "## Chains"} {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(lockHeader), 0o644); err != nil {
+		t.Fatalf("write fixture: %v", err)
+	}
+	prog, err := LoadTree(dir)
+	if err != nil {
+		t.Fatalf("LoadTree: %v", err)
+	}
+	doc := prog.LockOrderDoc()
+	for _, want := range []string{"x.a -> x.b", "| x.a | — (root) |", "`x.guarded.b` (fixture.go)", "## Chains"} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("doc missing %q:\n%s", want, doc)
 		}

@@ -2,6 +2,7 @@ package lat
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -321,5 +322,58 @@ func TestConcurrentBoundedInsertMemAccounting(t *testing.T) {
 	}
 	if want := liveMemBytes(tab); st.MemBytes != want {
 		t.Errorf("MemBytes = %d, live rows hold %d", st.MemBytes, want)
+	}
+}
+
+// TestResetUnboundedAccounting races Reset against unbounded inserts,
+// which take no ordering latch: a group created in a shard Reset has
+// already swept must keep its memory and group-count accounting. Once
+// the writers stop, MemBytes must equal the live rows' sizes and
+// GroupCount the number of live rows. Several short trials make the
+// interleaving that loses a new group's accounting likely to occur.
+func TestResetUnboundedAccounting(t *testing.T) {
+	const (
+		trials  = 20
+		writers = 2
+		resets  = 200
+		keys    = 8
+	)
+	for trial := 0; trial < trials; trial++ {
+		tab, err := New(durationSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; !stop.Load(); i++ {
+					if err := tab.Insert(queryObj(fmt.Sprintf("sig%d", (w+i)%keys), float64(i%10))); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		for i := 0; i < resets; i++ {
+			// Reset only after fresh inserts, so every Reset races live
+			// group creation.
+			for seen := tab.Stats().Inserts; tab.Stats().Inserts == seen; {
+				runtime.Gosched()
+			}
+			tab.Reset()
+		}
+		stop.Store(true)
+		wg.Wait()
+
+		st := tab.Stats()
+		if want := liveMemBytes(tab); st.MemBytes != want {
+			t.Fatalf("trial %d: MemBytes = %d, live rows hold %d", trial, st.MemBytes, want)
+		}
+		if rows := len(tab.Rows()); st.GroupCount != rows {
+			t.Fatalf("trial %d: GroupCount = %d, Rows = %d", trial, st.GroupCount, rows)
+		}
 	}
 }

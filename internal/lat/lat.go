@@ -464,9 +464,8 @@ func (t *Table) insert(get AttrGetter) error {
 		r.aggs[i].add(&t.spec, col, v, now)
 	}
 	r.mem = r.memSize()
-	// Account the update while the row latch is held: eviction retires a
-	// row under this latch, subtracting r.mem as it stands, and Reset
-	// marks every row dead under its latch before zeroing the total, so
+	// Account the update while the row latch is held: eviction and Reset
+	// retire a row under this latch, subtracting r.mem as it stands, so
 	// the table's memory stays the sum of its live rows' mem.
 	t.mem.Add(r.mem - oldMem)
 	r.storeOrderKey(t.orderKeyLocked(r, now))
@@ -723,7 +722,10 @@ func (t *Table) sortRows(rows [][]sqltypes.Value) {
 
 // Reset clears the table (paper action Reset(LATName)). It takes the
 // ordering latch and every shard latch (in latch order), so it is atomic
-// with respect to concurrent inserts.
+// with respect to concurrent bounded inserts. Unbounded inserts take no
+// ordering latch and may create a group in a shard Reset has already
+// swept, so each row's memory and group count are retired under its
+// latches, as eviction does, instead of zeroing the totals.
 func (t *Table) Reset() {
 	t.orderMu.Lock()
 	for i := range t.shards {
@@ -732,15 +734,15 @@ func (t *Table) Reset() {
 		for _, r := range sh.groups {
 			r.mu.Lock()
 			r.live = false
+			t.mem.Add(-r.mem)
 			r.mu.Unlock()
 		}
+		t.nGroups.Add(-int64(len(sh.groups)))
 		sh.groups = make(map[string]*row)
 		sh.free = nil
 		sh.mu.Unlock()
 	}
 	t.order = nil
-	t.mem.Store(0)
-	t.nGroups.Store(0)
 	t.orderMu.Unlock()
 }
 

@@ -2,37 +2,32 @@ package lockcheck_test
 
 import (
 	"flag"
+	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"sqlcm/internal/analysis"
-	"sqlcm/internal/lockcheck/check"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current analyzer output")
 
-// fixtureFiles lists the .go files of one testdata fixture package.
-func fixtureFiles(t *testing.T, name string) []string {
+// runFixture analyzes one testdata fixture tree with analysis.RunTree
+// and renders the findings whose analyzer passes keep (all when nil).
+func runFixture(t *testing.T, name string, keep func(analysis.Diagnostic) bool) string {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	ents, err := os.ReadDir(dir)
+	diags, err := analysis.RunTree(filepath.Join("testdata", "src", name))
 	if err != nil {
-		t.Fatalf("read fixture dir: %v", err)
+		t.Fatalf("analysis.RunTree: %v", err)
 	}
-	var paths []string
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".go") {
-			paths = append(paths, filepath.Join(dir, e.Name()))
+	var b strings.Builder
+	for _, d := range diags {
+		if keep == nil || keep(d) {
+			b.WriteString(filepath.ToSlash(d.String()) + "\n")
 		}
 	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		t.Fatalf("fixture %s has no .go files", name)
-	}
-	return paths
+	return b.String()
 }
 
 func checkGolden(t *testing.T, name, got string) {
@@ -67,62 +62,44 @@ func TestSeededFixtureGoldens(t *testing.T) {
 	}
 	for _, name := range cases {
 		t.Run(name, func(t *testing.T) {
-			diags, err := check.RunFiles(fixtureFiles(t, name))
-			if err != nil {
-				t.Fatalf("RunFiles: %v", err)
-			}
-			var b strings.Builder
-			for _, d := range diags {
-				b.WriteString(filepath.ToSlash(d.String()) + "\n")
-			}
-			checkGolden(t, name, b.String())
+			checkGolden(t, name, runFixture(t, name, nil))
 		})
 	}
 }
 
-// TestHotpathLockGolden pins the internal/analysis diagnostic for a
-// hot-path function locking an un-annotated mutex.
+// TestHotpathLockGolden pins the hotpath analyzer's diagnostic for a
+// hot-path function locking an un-annotated mutex. (The unannotated
+// field's lockclass findings are the unannotated fixture's to pin.)
 func TestHotpathLockGolden(t *testing.T) {
-	diags, err := analysis.RunTree(filepath.Join("testdata", "src", "hotpathlock"))
-	if err != nil {
-		t.Fatalf("analysis.RunTree: %v", err)
-	}
-	var b strings.Builder
-	for _, d := range diags {
-		b.WriteString(filepath.ToSlash(d.String()) + "\n")
-	}
-	checkGolden(t, "hotpathlock", b.String())
+	hotpath := func(d analysis.Diagnostic) bool { return d.Analyzer == "hotpath" }
+	checkGolden(t, "hotpathlock", runFixture(t, "hotpathlock", hotpath))
 }
 
-// TestCrossPackageSummaryGolden pins the summary-driven ordering check:
-// calls into another package are order-checked against the classes the
-// analysis layer says the callee may acquire.
+// TestCrossPackageSummaryGolden pins the fact-driven ordering check:
+// calls into another package (the fixture's lck) are order-checked
+// against the lock classes that package's facts say the callee may
+// acquire.
 func TestCrossPackageSummaryGolden(t *testing.T) {
-	ext := map[string][]string{
-		"lck.Mgr.Acquire": {"lock.manager"},
-		"lck.Acquire":     {"lock.manager"},
-	}
-	diags, err := check.RunTreeWithSummaries(filepath.Join("testdata", "src", "crosssummary"), ext)
-	if err != nil {
-		t.Fatalf("RunTreeWithSummaries: %v", err)
-	}
-	var b strings.Builder
-	for _, d := range diags {
-		b.WriteString(filepath.ToSlash(d.String()) + "\n")
-	}
-	checkGolden(t, "crosssummary", b.String())
+	checkGolden(t, "crosssummary", runFixture(t, "crosssummary", nil))
 }
 
-// TestTreeLockSummariesExported requires the type-aware layer to export
+// TestTreeLockClassesExported requires the type-aware layer to record
 // the one cross-package edge the serving path actually has: acquiring a
 // row/table lock through lock.Manager reaches the lock.manager latch.
-func TestTreeLockSummariesExported(t *testing.T) {
+func TestTreeLockClassesExported(t *testing.T) {
 	prog, err := analysis.LoadTree("../..")
 	if err != nil {
 		t.Fatalf("LoadTree: %v", err)
 	}
-	sums := prog.LockSummaries()
-	classes := sums["lock.Manager.Acquire"]
+	pkg := prog.PackageByPath("sqlcm/internal/lock")
+	if pkg == nil {
+		t.Fatal("package sqlcm/internal/lock not loaded")
+	}
+	acquire, _, _ := types.LookupFieldOrMethod(pkg.Types.Scope().Lookup("Manager").Type(), true, pkg.Types, "Acquire")
+	if acquire == nil {
+		t.Fatal("lock.Manager has no Acquire method")
+	}
+	classes := pkg.Facts.LockClasses[acquire]
 	found := false
 	for _, c := range classes {
 		if c == "lock.manager" {
@@ -130,20 +107,22 @@ func TestTreeLockSummariesExported(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("lock.Manager.Acquire summary = %v, want it to include %q (have %d summaries)",
-			classes, "lock.manager", len(sums))
+		t.Fatalf("LockClasses[lock.Manager.Acquire] = %v, want it to include %q", classes, "lock.manager")
 	}
 }
 
-// TestAnnotatedTreeIsClean runs the full lock checker over the repository
-// and requires zero findings: the shipped tree must satisfy its own
-// declared hierarchy.
+// TestAnnotatedTreeIsClean runs the lock checker over the repository and
+// requires zero findings: the shipped tree must satisfy its own declared
+// hierarchy. Type-check findings count too, so a tree the checker cannot
+// resolve does not pass with the lock walk degraded.
 func TestAnnotatedTreeIsClean(t *testing.T) {
-	diags, err := check.RunTree("../..")
+	diags, err := analysis.RunTree("../..")
 	if err != nil {
-		t.Fatalf("RunTree: %v", err)
+		t.Fatalf("analysis.RunTree: %v", err)
 	}
 	for _, d := range diags {
-		t.Errorf("unexpected finding: %s", d)
+		if strings.HasPrefix(d.Analyzer, "lock") || d.Analyzer == "typecheck" {
+			t.Errorf("unexpected finding: %s", d)
+		}
 	}
 }

@@ -10,11 +10,11 @@
 // lat.order" means lat.order may be held when acquiring lat.shard). Two
 // independent enforcers consume it:
 //
-//   - internal/lockcheck/check: a static go/ast pass (run by sqlcm-vet
-//     -code) that walks every function, tracks the set of held classes
-//     across calls, and reports acquisitions that violate the declared
-//     order, Lock calls without a dominating Unlock, and locks held
-//     across channel sends or outbox enqueues.
+//   - the lockorder analyzer in internal/analysis (run by sqlcm-vet
+//     -code): a type-aware walk of every function that tracks the set of
+//     held classes across calls and packages, and reports acquisitions
+//     that violate the declared order, Lock calls without a dominating
+//     Unlock, and locks held across channel sends or outbox enqueues.
 //
 //   - a runtime lockdep, compiled in with -tags sqlcmlockdep: the Mutex
 //     and RWMutex wrappers below record the per-goroutine held-set and

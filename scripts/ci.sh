@@ -16,9 +16,9 @@ go build ./...
 # recover discipline, context propagation, cancellation points, goroutine
 # ownership, SQLSTATE single-sourcing, the data-protection suite
 # (//sqlcm:guards field access, atomics-everywhere, //sqlcm:cow publish
-# checking), and the //sqlcm:lock hierarchy checker with cross-package
-# acquire summaries; `sqlcm-vet -analyzers` lists them), rule-set static
-# analysis, and pinned staticcheck
+# checking), and the //sqlcm:lock order checker, which follows calls
+# across packages through their lock-class facts; `sqlcm-vet -analyzers`
+# lists them), rule-set static analysis, and pinned staticcheck
 # (offline-tolerant; see scripts/staticcheck.sh). docs/lock-order.md must
 # be current relative to the annotations. All hard gates, shared with the
 # local workflow via `make vet`; vet-bench additionally fails the build
