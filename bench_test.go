@@ -139,6 +139,9 @@ func BenchmarkOptimizeComplexQuery(b *testing.B) {
 
 // benchFig2 measures the per-query cost of a single-row select with
 // nRules × nConds monitoring attached (0 rules = the engine baseline).
+// Each rule's LAT is the one of the rules-fig2 workload (fig2LAT in
+// perfbench/workloads.go): the last 10 queries with five LAST columns, so
+// the per-rule work here matches the repository benchmark's.
 func benchFig2(b *testing.B, nRules, nConds int) {
 	eng := benchEngine(b, 5000)
 	if nRules > 0 {
@@ -151,6 +154,9 @@ func benchFig2(b *testing.B, nRules, nConds int) {
 				Aggs: []lat.AggCol{
 					{Func: lat.Last, Attr: "Query_Text", Name: "Text"},
 					{Func: lat.Last, Attr: "Duration", Name: "Dur"},
+					{Func: lat.Last, Attr: "Logical_Signature", Name: "LSig"},
+					{Func: lat.Last, Attr: "Physical_Signature", Name: "PSig"},
+					{Func: lat.Last, Attr: "Estimated_Cost", Name: "Cost"},
 				},
 				OrderBy: []lat.OrderKey{{Col: "ID", Desc: true}},
 				MaxRows: 10,

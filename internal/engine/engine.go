@@ -441,6 +441,12 @@ func (e *Engine) getPlan(sql string) (*cachedPlan, bool, error) {
 		optimize: optTime,
 	}
 	e.planMu.Lock()
+	if winner, ok := e.planCache[sql]; ok {
+		// Lost a racing miss: adopt the cached plan, so every caller runs
+		// one plan and the monitor computes its signature once.
+		e.planMu.Unlock()
+		return winner, false, nil
+	}
 	e.planCache[sql] = cp
 	e.planMu.Unlock()
 	return cp, false, nil

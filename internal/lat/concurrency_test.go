@@ -377,3 +377,104 @@ func TestResetUnboundedAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentOrderKeyProtocol exercises the ordering-key protocol: a
+// row's ordering key changes only under the ordering latch, with the row
+// latch held, immediately before its heap position is fixed. Writers
+// update existing groups of a table ordered by SUM desc, so every update
+// moves its row in the heap, while other writers create groups and force
+// evictions. Once the writers stop, the heap must satisfy the heap
+// property over the stored keys, every stored key must equal a fresh
+// recomputation from the row, and the group accounting must balance.
+func TestConcurrentOrderKeyProtocol(t *testing.T) {
+	const (
+		maxRows  = 16
+		hot      = 8
+		updaters = 2
+		creators = 2
+		perG     = 3000
+	)
+	tab, err := New(Spec{
+		Name:    "Busiest",
+		GroupBy: []string{"K"},
+		Aggs: []AggCol{
+			{Func: Sum, Attr: "W", Name: "Total"},
+			{Func: Count, Name: "N"},
+		},
+		OrderBy: []OrderKey{{Col: "Total", Desc: true}},
+		MaxRows: maxRows,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(k string, w int64) {
+		if err := tab.Insert(obj(map[string]sqltypes.Value{
+			"K": sqltypes.NewString(k), "W": sqltypes.NewInt(w),
+		})); err != nil {
+			t.Error(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < updaters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				insert(fmt.Sprintf("hot%d", (i+g)%hot), int64(i%7+1))
+			}
+		}(g)
+	}
+	for g := 0; g < creators; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				insert(fmt.Sprintf("new%d-%d", g, i), int64(i%5+1))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	tab.orderMu.Lock()
+	defer tab.orderMu.Unlock()
+	rows := tab.order.rows
+	if len(rows) != maxRows {
+		t.Fatalf("heap holds %d rows, want %d", len(rows), maxRows)
+	}
+	for i, r := range rows {
+		if r.heapIdx != i {
+			t.Fatalf("row at heap slot %d records heapIdx %d", i, r.heapIdx)
+		}
+		if i > 0 && lessImportant(tab.spec.OrderBy, r, rows[(i-1)/2]) {
+			t.Fatalf("heap property violated at slot %d: child %v is less important than parent %v",
+				i, r.orderKey, rows[(i-1)/2].orderKey)
+		}
+		sh := shardFor(tab, r.key)
+		sh.mu.RLock()
+		inMap := sh.groups[r.key] == r
+		sh.mu.RUnlock()
+		if !inMap {
+			t.Fatalf("heap row %q is not its group's row", r.key)
+		}
+		r.mu.Lock()
+		stored := append([]sqltypes.Value(nil), r.orderKey...)
+		tab.orderKeyLocked(r, tab.now())
+		fresh := r.orderKey
+		r.mu.Unlock()
+		for j := range fresh {
+			if sqltypes.Compare(stored[j], fresh[j]) != 0 {
+				t.Fatalf("row %q: stored ordering key %v, recomputed %v", r.key, stored, fresh)
+			}
+		}
+	}
+	st := tab.Stats()
+	if st.NewGroups-st.Evictions != int64(st.GroupCount) || st.GroupCount != maxRows {
+		t.Fatalf("stats %+v: NewGroups - Evictions must equal GroupCount (%d)", st, maxRows)
+	}
+	if want := int64((updaters + creators) * perG); st.Inserts != want {
+		t.Fatalf("%d inserts counted, want %d", st.Inserts, want)
+	}
+}

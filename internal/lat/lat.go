@@ -15,7 +15,6 @@ package lat
 import (
 	"container/heap"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -204,50 +203,68 @@ type Stats struct {
 // realistic thread counts while costing ~2KB per table.
 const latShards = 16
 
-// maxFreePerShard bounds each shard's recycled-row pool (64 rows per
-// table, matching the seed's single free list).
-const maxFreePerShard = 4
+// maxFree bounds the table's pool of evicted rows kept for reuse.
+const maxFree = 64
 
-// latShard is one stripe of the group hash: a latch, the groups that hash
-// into the stripe, and a small pool of evicted rows for reuse (§6.1:
-// "evicted leafs can be re-used for the newly inserted value, keeping
-// memory fragmentation low").
+// keyBufSize and groupBufCols size the stack buffers that the insert and
+// lookup paths encode a grouping key into; longer keys or more grouping
+// columns spill to the heap.
+const (
+	keyBufSize   = 128
+	groupBufCols = 4
+)
+
+// latShard is one stripe of the group hash: a latch and the groups that
+// hash into the stripe.
 type latShard struct {
-	// mu protects the stripe's group map and free list.
+	// mu protects the stripe's group map.
 	//sqlcm:lock lat.shard after lat.order
-	//sqlcm:guards groups, free
+	//sqlcm:guards groups
 	mu     lockcheck.RWMutex
 	groups map[string]*row
-	free   []*row
-	_      [24]byte // pad shards onto distinct cache lines
+	_      [32]byte // pad shards onto distinct cache lines
 }
 
 // Table is a live LAT.
 //
 // Latching discipline (mirrors the paper's per-row + structure latches,
 // with the structure latch striped): shard latches protect the per-stripe
-// hash maps and free lists; the ordering latch protects the eviction heap
-// and every row's heapIdx; row latches protect aggregate state. Latches
-// nest only in the order orderMu → shard.mu → row.mu, so concurrent
-// Observe calls on different groups touch disjoint shard and row latches
-// and — in the unbounded case — never share a latch at all. Memory and
-// group counters are atomics. The ordering heap is maintained only when
-// the spec carries a size limit; an unbounded LAT pays no ordering latch.
+// hash maps; the ordering latch protects the eviction heap, the pool of
+// evicted rows and every row's heapIdx and orderKey; row latches protect
+// aggregate state. Latches nest only in the order orderMu → shard.mu →
+// row.mu, so concurrent Observe calls on different groups touch disjoint
+// shard and row latches and — in the unbounded case — never share a latch
+// at all. Memory and group counters are atomics. The ordering heap is
+// maintained only when the spec carries a size limit; an unbounded LAT
+// pays no ordering latch.
 type Table struct {
 	spec Spec
 	// Clock is injectable for deterministic aging tests.
 	clock func() time.Time
+
+	// Derived from spec in New: the output column names, the output
+	// position of each ordering column, and whether any aggregate ages
+	// (only then does an insert read the clock).
+	cols     []string
+	orderCol []int
+	aging    bool
 
 	shards [latShards]latShard
 
 	// bounded is true when the spec has MaxRows or MaxBytes: only then do
 	// inserts maintain the eviction heap under orderMu.
 	bounded bool
-	// orderMu is the ordering latch: eviction heap + row heapIdx.
+	// orderMu is the ordering latch: eviction heap, free rows, and every
+	// row's heapIdx and orderKey.
 	//sqlcm:lock lat.order
-	//sqlcm:guards order
+	//sqlcm:guards order, free
 	orderMu lockcheck.Mutex
 	order   rowHeap
+	// free holds evicted rows for reuse (§6.1: "evicted leafs can be
+	// re-used for the newly inserted value, keeping memory fragmentation
+	// low"). Only bounded tables evict, and both eviction and group
+	// creation hold orderMu there.
+	free []*row
 
 	mem     atomic.Int64
 	nGroups atomic.Int64
@@ -262,9 +279,9 @@ type Table struct {
 // row is one group's state.
 //
 // The row latch protects the aggregate state, mem, live and key; heapIdx
-// is protected by the table's ordering latch. Ordering-heap comparisons
-// read orderKey, an atomically published snapshot of the row's
-// ordering-column values, so they never need the row latch.
+// and orderKey are protected by the table's ordering latch. orderKey is
+// refreshed with both latches held, so heap comparisons, which run under
+// the ordering latch alone, never need the row latch.
 type row struct {
 	// mu is the row latch: aggregate state, mem, live, key.
 	//sqlcm:lock lat.row after lat.shard
@@ -279,16 +296,20 @@ type row struct {
 	// heapIdx is the row's position in the eviction heap.
 	//sqlcm:guarded-by lat.order
 	heapIdx int
-	// orderKey is the atomically published ordering-column snapshot for
-	// heap comparisons, so they never need the row latch.
-	orderKey atomic.Pointer[[]sqltypes.Value]
+	// orderKey holds the row's ordering-column values for heap
+	// comparisons (bounded tables only).
+	//sqlcm:guarded-by lat.order
+	orderKey []sqltypes.Value
 }
 
-// shardFor picks the stripe for an encoded grouping key.
-func (t *Table) shardFor(key string) *latShard {
-	h := fnv.New64a()
-	h.Write([]byte(key)) //nolint:errcheck
-	return &t.shards[h.Sum64()&(latShards-1)]
+// shardFor picks the stripe for an encoded grouping key (FNV-1a).
+func shardFor[K string | []byte](t *Table, key K) *latShard {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return &t.shards[h&(latShards-1)]
 }
 
 // EvictedRow is delivered to the eviction callback; the paper exposes each
@@ -307,8 +328,16 @@ func New(spec Spec) (*Table, error) {
 	t := &Table{
 		spec:    spec,
 		clock:   time.Now,
+		cols:    spec.Columns(),
 		bounded: spec.MaxRows > 0 || spec.MaxBytes > 0,
 	}
+	for _, o := range spec.OrderBy {
+		t.orderCol = append(t.orderCol, t.ColumnIndex(o.Col))
+	}
+	for _, a := range spec.Aggs {
+		t.aging = t.aging || a.Aging
+	}
+	t.order.orderBy = spec.OrderBy
 	t.orderMu.SetClass("lat.order")
 	for i := range t.shards {
 		t.shards[i].mu.SetClass("lat.shard")
@@ -364,23 +393,24 @@ func (t *Table) Insert(get AttrGetter) error {
 
 // insert is Insert without the statistics update; eviction races retry
 // through it so one logical insert counts once.
+//
+// Updating an existing group allocates nothing: the grouping values and
+// key are built in stack buffers and the shard map is indexed with the
+// key bytes. Creating a group allocates its key string (plus a row when no
+// evicted one is free).
 func (t *Table) insert(get AttrGetter) error {
-	now := t.clock()
-
-	groupVals := make([]sqltypes.Value, len(t.spec.GroupBy))
-	for i, attr := range t.spec.GroupBy {
-		v, ok := get(attr)
-		if !ok {
-			return fmt.Errorf("lat %s: object has no attribute %q", t.spec.Name, attr)
-		}
-		groupVals[i] = v
+	now := t.now()
+	var valBuf [groupBufCols]sqltypes.Value
+	var keyBuf [keyBufSize]byte
+	groupVals, key, err := t.groupKey(get, valBuf[:0], keyBuf[:0])
+	if err != nil {
+		return err
 	}
-	key := string(sqltypes.EncodeKey(groupVals...))
-	sh := t.shardFor(key)
+	sh := shardFor(t, key)
 
 	// Fast path: existing group under the shard read latch.
 	sh.mu.RLock()
-	r := sh.groups[key]
+	r := sh.groups[string(key)]
 	sh.mu.RUnlock()
 
 	if r == nil {
@@ -392,49 +422,9 @@ func (t *Table) insert(get AttrGetter) error {
 			t.orderMu.Lock()
 		}
 		sh.mu.Lock()
-		r = sh.groups[key]
+		r = sh.groups[string(key)]
 		if r == nil {
-			if n := len(sh.free); n > 0 {
-				// Reuse an evicted row's memory. Reinitialization and its
-				// memory accounting happen under the row latch: a stale
-				// updater that still holds a pointer to this row
-				// revalidates its key after latching, and may then update
-				// the reused row at once. (heapIdx is already -1: rows
-				// enter the free list only via an eviction pop.)
-				r = sh.free[n-1]
-				sh.free = sh.free[:n-1]
-				r.mu.Lock()
-				r.key = key
-				r.groupVal = groupVals
-				for i := range r.aggs {
-					r.aggs[i] = aggState{}
-					r.aggs[i].init(&t.spec, &t.spec.Aggs[i])
-				}
-				r.live = true
-				r.mem = r.memSize()
-				t.mem.Add(r.mem)
-				r.storeOrderKey(t.orderKeyLocked(r, now))
-				r.mu.Unlock()
-			} else {
-				r = &row{key: key, groupVal: groupVals, heapIdx: -1, live: true}
-				r.mu.SetClass("lat.row")
-				r.aggs = make([]aggState, len(t.spec.Aggs))
-				for i := range r.aggs {
-					r.aggs[i].init(&t.spec, &t.spec.Aggs[i])
-				}
-				//sqlcm:allow fresh row: not yet published to any shard map, this goroutine has exclusive access
-				r.mem = r.memSize()
-				//sqlcm:allow fresh row: exclusive access until published below (see above)
-				t.mem.Add(r.mem)
-				//sqlcm:allow fresh row: exclusive access until published below (see above)
-				r.storeOrderKey(t.orderKeyLocked(r, now))
-			}
-			sh.groups[key] = r
-			if t.bounded {
-				heap.Push(&rowHeapRef{t: t}, r)
-			}
-			t.nGroups.Add(1)
-			t.newGroups.Add(1)
+			r = t.addGroupLocked(sh, string(key), groupVals, now)
 		}
 		sh.mu.Unlock()
 		if t.bounded {
@@ -446,7 +436,7 @@ func (t *Table) insert(get AttrGetter) error {
 	// eviction + reuse race: a row looked up before its group was evicted
 	// may belong to a different group by the time the latch is acquired.
 	r.mu.Lock()
-	if !r.live || r.key != key {
+	if !r.live || r.key != string(key) {
 		r.mu.Unlock()
 		return t.insert(get)
 	}
@@ -468,26 +458,27 @@ func (t *Table) insert(get AttrGetter) error {
 	// retire a row under this latch, subtracting r.mem as it stands, so
 	// the table's memory stays the sum of its live rows' mem.
 	t.mem.Add(r.mem - oldMem)
-	r.storeOrderKey(t.orderKeyLocked(r, now))
 	r.mu.Unlock()
 
-	// Bounded tables reposition the row in the ordering heap and enforce
-	// limits. Membership is re-checked under the shard latch: a row
-	// evicted (or Reset) between the latches has left the heap. (The
-	// local key is used, never r.key, which may be concurrently
-	// reinitialized by row reuse.)
+	// Bounded tables refresh the row's ordering key, reposition it in the
+	// heap and enforce limits. Membership is re-checked under the shard
+	// latch: a row evicted (or Reset) between the latches has left the
+	// heap, and while orderMu is held it cannot be reused for another
+	// group. (The local key is used, never r.key, which may be
+	// concurrently reinitialized by row reuse.)
 	if !t.bounded {
 		return nil
 	}
 	t.orderMu.Lock()
 	sh.mu.RLock()
-	present := sh.groups[key] == r
+	present := sh.groups[string(key)] == r
 	sh.mu.RUnlock()
 	var evicted []EvictedRow
 	if present {
-		if r.heapIdx >= 0 && len(t.spec.OrderBy) > 0 {
-			heap.Fix(&rowHeapRef{t: t}, r.heapIdx)
-		}
+		r.mu.Lock()
+		t.orderKeyLocked(r, now)
+		r.mu.Unlock()
+		heap.Fix(&t.order, r.heapIdx)
 		evicted = t.enforceLimitsLocked(now)
 	}
 	t.orderMu.Unlock()
@@ -495,45 +486,112 @@ func (t *Table) insert(get AttrGetter) error {
 	return nil
 }
 
-// storeOrderKey publishes an ordering-key snapshot for heap comparisons.
-func (r *row) storeOrderKey(k []sqltypes.Value) { r.orderKey.Store(&k) }
-
-// loadOrderKey returns the published ordering-key snapshot (nil before
-// the first store — only reachable for rows never registered in a heap).
-func (r *row) loadOrderKey() []sqltypes.Value {
-	if p := r.orderKey.Load(); p != nil {
-		return *p
+// now reads the clock for aging aggregates; a table without one never
+// looks at the time, so it skips the read.
+func (t *Table) now() time.Time {
+	if !t.aging {
+		return time.Time{}
 	}
-	return nil
+	return t.clock()
 }
 
-// orderKeyLocked snapshots the row's ordering-column values. Caller holds
-// the row latch (or has exclusive access to a fresh row — such call sites
-// carry //sqlcm:allow).
+// groupKey resolves the grouping attributes through get, appending their
+// values to vals and their encoded key to key. The buffers are the
+// caller's, so on the insert and lookup paths they live on its stack.
+func (t *Table) groupKey(get AttrGetter, vals []sqltypes.Value, key []byte) ([]sqltypes.Value, []byte, error) {
+	for _, attr := range t.spec.GroupBy {
+		v, ok := get(attr)
+		if !ok {
+			return nil, nil, fmt.Errorf("lat %s: object has no attribute %q", t.spec.Name, attr)
+		}
+		vals = append(vals, v)
+		key = v.Encode(key)
+	}
+	return vals, key, nil
+}
+
+// addGroupLocked creates the group for key in sh with freshly initialized
+// aggregates, reusing an evicted row when one is free. Caller holds sh.mu
+// and, for bounded tables, orderMu.
 //
-//sqlcm:lock-held lat.row
-func (t *Table) orderKeyLocked(r *row, now time.Time) []sqltypes.Value {
-	if len(t.spec.OrderBy) == 0 {
-		return []sqltypes.Value{}
+// Reinitialization and its memory accounting happen under the row latch:
+// a stale updater that still holds a pointer to a reused row revalidates
+// its key after latching, and may then update the reused row at once.
+// (heapIdx is already -1: rows enter the free list only via an eviction
+// pop.)
+//
+//sqlcm:lock-held lat.shard
+func (t *Table) addGroupLocked(sh *latShard, key string, groupVals []sqltypes.Value, now time.Time) *row {
+	var r *row
+	if t.bounded {
+		//sqlcm:allow bounded tables only: every caller holds orderMu when t.bounded
+		r = t.takeFreeLocked()
 	}
-	out := make([]sqltypes.Value, len(t.spec.OrderBy))
-outer:
-	for i, o := range t.spec.OrderBy {
-		for gi, g := range t.spec.GroupBy {
-			if g == o.Col {
-				out[i] = r.groupVal[gi]
-				continue outer
-			}
+	if r == nil {
+		r = &row{heapIdx: -1, aggs: make([]aggState, len(t.spec.Aggs))}
+		if t.bounded {
+			r.orderKey = make([]sqltypes.Value, len(t.spec.OrderBy))
 		}
-		for ai := range t.spec.Aggs {
-			if t.spec.Aggs[ai].Name == o.Col {
-				out[i] = r.aggs[ai].value(&t.spec, &t.spec.Aggs[ai], now)
-				continue outer
-			}
-		}
-		out[i] = sqltypes.Null
+		r.mu.SetClass("lat.row")
 	}
-	return out
+	r.mu.Lock()
+	r.key = key
+	r.groupVal = append(r.groupVal[:0], groupVals...)
+	for i := range r.aggs {
+		r.aggs[i] = aggState{}
+		r.aggs[i].init(&t.spec, &t.spec.Aggs[i])
+	}
+	r.live = true
+	r.mem = r.memSize()
+	t.mem.Add(r.mem)
+	r.mu.Unlock()
+	sh.groups[key] = r
+	if t.bounded {
+		//sqlcm:allow bounded tables only: every caller holds orderMu when t.bounded
+		t.pushLocked(r, now)
+	}
+	t.nGroups.Add(1)
+	t.newGroups.Add(1)
+	return r
+}
+
+// takeFreeLocked pops an evicted row for reuse, or returns nil.
+//
+//sqlcm:lock-held lat.order
+func (t *Table) takeFreeLocked() *row {
+	n := len(t.free)
+	if n == 0 {
+		return nil
+	}
+	r := t.free[n-1]
+	t.free = t.free[:n-1]
+	return r
+}
+
+// pushLocked computes a new group's ordering key and registers its row in
+// the eviction heap.
+//
+//sqlcm:lock-held lat.order
+func (t *Table) pushLocked(r *row, now time.Time) {
+	r.mu.Lock()
+	t.orderKeyLocked(r, now)
+	r.mu.Unlock()
+	heap.Push(&t.order, r)
+}
+
+// orderKeyLocked refreshes the row's ordering key in place from its
+// current values. Caller holds the ordering latch and the row latch.
+//
+//sqlcm:lock-held lat.order lat.row
+func (t *Table) orderKeyLocked(r *row, now time.Time) {
+	ng := len(t.spec.GroupBy)
+	for i, c := range t.orderCol {
+		if c < ng {
+			r.orderKey[i] = r.groupVal[c]
+		} else {
+			r.orderKey[i] = r.aggs[c-ng].value(&t.spec, &t.spec.Aggs[c-ng], now)
+		}
+	}
 }
 
 // enforceLimitsLocked evicts least-important rows while over limits,
@@ -553,22 +611,22 @@ func (t *Table) enforceLimitsLocked(now time.Time) []EvictedRow {
 	var out []EvictedRow
 	for {
 		over := false
-		if t.spec.MaxRows > 0 && len(t.order) > t.spec.MaxRows {
+		if t.spec.MaxRows > 0 && t.order.Len() > t.spec.MaxRows {
 			over = true
 		}
 		if t.spec.MaxBytes > 0 && t.mem.Load() > t.spec.MaxBytes {
 			over = true
 		}
-		if !over || len(t.order) == 0 {
+		if !over || t.order.Len() == 0 {
 			return out
 		}
-		victim := heap.Pop(&rowHeapRef{t: t}).(*row)
+		victim := heap.Pop(&t.order).(*row)
 		// victim.key is stable here: reuse-reinitialization can only happen
-		// after the row is returned to a free list below.
-		//sqlcm:allow victim.key is stable: rows are only reinitialized after returning to a free list, which happens below
-		vsh := t.shardFor(victim.key)
+		// after the row is returned to the free list, under this latch.
+		//sqlcm:allow victim.key is stable: rows are only reinitialized after returning to the free list, under the ordering latch held here
+		vsh := shardFor(t, victim.key)
 		vsh.mu.Lock()
-		//sqlcm:allow victim.key is stable until the row is freed (see above)
+		//sqlcm:allow victim.key is stable until the row is reused (see above)
 		delete(vsh.groups, victim.key)
 		victim.mu.Lock()
 		victim.live = false
@@ -578,10 +636,10 @@ func (t *Table) enforceLimitsLocked(now time.Time) []EvictedRow {
 			vals = t.rowValuesRowLocked(victim, now)
 		}
 		victim.mu.Unlock()
-		if len(vsh.free) < maxFreePerShard {
-			vsh.free = append(vsh.free, victim)
-		}
 		vsh.mu.Unlock()
+		if len(t.free) < maxFree {
+			t.free = append(t.free, victim)
+		}
 		t.nGroups.Add(-1)
 		t.evictions.Add(1)
 		if fn != nil {
@@ -632,11 +690,32 @@ func (t *Table) rowValuesRowLocked(r *row, now time.Time) []sqltypes.Value {
 // reports whether a matching row exists (rules treat a missing row as a
 // false condition, §5.2).
 func (t *Table) Lookup(groupVals []sqltypes.Value) ([]sqltypes.Value, bool) {
-	key := string(sqltypes.EncodeKey(groupVals...))
-	sh := t.shardFor(key)
-	now := t.clock()
+	var keyBuf [keyBufSize]byte
+	key := keyBuf[:0]
+	for _, v := range groupVals {
+		key = v.Encode(key)
+	}
+	return t.lookup(key)
+}
+
+// LookupByGetter resolves the grouping attributes through an object
+// accessor and looks the group up. Only the returned row is allocated.
+func (t *Table) LookupByGetter(get AttrGetter) ([]sqltypes.Value, bool) {
+	var valBuf [groupBufCols]sqltypes.Value
+	var keyBuf [keyBufSize]byte
+	_, key, err := t.groupKey(get, valBuf[:0], keyBuf[:0])
+	if err != nil {
+		return nil, false
+	}
+	return t.lookup(key)
+}
+
+// lookup materializes the group with the encoded key.
+func (t *Table) lookup(key []byte) ([]sqltypes.Value, bool) {
+	sh := shardFor(t, key)
+	now := t.now()
 	sh.mu.RLock()
-	r := sh.groups[key]
+	r := sh.groups[string(key)]
 	if r == nil {
 		sh.mu.RUnlock()
 		return nil, false
@@ -649,23 +728,9 @@ func (t *Table) Lookup(groupVals []sqltypes.Value) ([]sqltypes.Value, bool) {
 	return vals, true
 }
 
-// LookupByGetter resolves the grouping attributes through an object
-// accessor and looks the group up.
-func (t *Table) LookupByGetter(get AttrGetter) ([]sqltypes.Value, bool) {
-	groupVals := make([]sqltypes.Value, len(t.spec.GroupBy))
-	for i, attr := range t.spec.GroupBy {
-		v, ok := get(attr)
-		if !ok {
-			return nil, false
-		}
-		groupVals[i] = v
-	}
-	return t.Lookup(groupVals)
-}
-
 // ColumnIndex returns the position of an output column, or -1.
 func (t *Table) ColumnIndex(col string) int {
-	for i, c := range t.spec.Columns() {
+	for i, c := range t.cols {
 		if c == col {
 			return i
 		}
@@ -679,7 +744,7 @@ func (t *Table) ColumnIndex(col string) int {
 // a concurrent eviction + reuse cannot duplicate or corrupt a row, but
 // the snapshot as a whole is not a single point in time.
 func (t *Table) Rows() [][]sqltypes.Value {
-	now := t.clock()
+	now := t.now()
 	out := make([][]sqltypes.Value, 0, t.nGroups.Load())
 	for i := range t.shards {
 		sh := &t.shards[i]
@@ -701,13 +766,9 @@ func (t *Table) sortRows(rows [][]sqltypes.Value) {
 	if len(t.spec.OrderBy) == 0 {
 		return
 	}
-	idx := make([]int, len(t.spec.OrderBy))
-	for i, o := range t.spec.OrderBy {
-		idx[i] = t.ColumnIndex(o.Col)
-	}
 	sortSliceStable(rows, func(a, b []sqltypes.Value) bool {
 		for i, o := range t.spec.OrderBy {
-			c := sqltypes.Compare(a[idx[i]], b[idx[i]])
+			c := sqltypes.Compare(a[t.orderCol[i]], b[t.orderCol[i]])
 			if c == 0 {
 				continue
 			}
@@ -739,10 +800,10 @@ func (t *Table) Reset() {
 		}
 		t.nGroups.Add(-int64(len(sh.groups)))
 		sh.groups = make(map[string]*row)
-		sh.free = nil
 		sh.mu.Unlock()
 	}
-	t.order = nil
+	t.order.rows = nil
+	t.free = nil
 	t.orderMu.Unlock()
 }
 
@@ -782,60 +843,53 @@ func (t *Table) Load(rows [][]sqltypes.Value) error {
 
 // --- ordering heap (least important at the top) ---
 
-type rowHeap []*row
-
-// rowHeapRef adapts the table to heap.Interface with access to the spec.
+// rowHeap is the eviction heap, a heap.Interface over the table's rows.
 // Every method runs under the ordering latch: container/heap operations
 // on the table are only issued while orderMu is held.
-type rowHeapRef struct{ t *Table }
+type rowHeap struct {
+	orderBy []OrderKey
+	rows    []*row
+}
+
+func (h *rowHeap) Len() int { return len(h.rows) }
 
 //sqlcm:lock-held lat.order
-func (h *rowHeapRef) Len() int { return len(h.t.order) }
-
-//sqlcm:lock-held lat.order
-func (h *rowHeapRef) Less(i, j int) bool {
-	return h.t.lessImportant(h.t.order[i], h.t.order[j])
+func (h *rowHeap) Less(i, j int) bool {
+	return lessImportant(h.orderBy, h.rows[i], h.rows[j])
 }
 
 //sqlcm:lock-held lat.order
-func (h *rowHeapRef) Swap(i, j int) {
-	o := h.t.order
+func (h *rowHeap) Swap(i, j int) {
+	o := h.rows
 	o[i], o[j] = o[j], o[i]
 	o[i].heapIdx = i
 	o[j].heapIdx = j
 }
 
 //sqlcm:lock-held lat.order
-func (h *rowHeapRef) Push(x interface{}) {
+func (h *rowHeap) Push(x interface{}) {
 	r := x.(*row)
-	r.heapIdx = len(h.t.order)
-	h.t.order = append(h.t.order, r)
+	r.heapIdx = len(h.rows)
+	h.rows = append(h.rows, r)
 }
 
 //sqlcm:lock-held lat.order
-func (h *rowHeapRef) Pop() interface{} {
-	o := h.t.order
+func (h *rowHeap) Pop() interface{} {
+	o := h.rows
 	r := o[len(o)-1]
 	r.heapIdx = -1
-	h.t.order = o[:len(o)-1]
+	h.rows = o[:len(o)-1]
 	return r
 }
 
 // lessImportant orders rows by eviction priority: true when a should be
-// evicted before b. It compares the atomically published ordering-key
-// snapshots, so it is safe under the table latch alone.
-func (t *Table) lessImportant(a, b *row) bool {
-	ak := a.loadOrderKey()
-	bk := b.loadOrderKey()
-	for i, o := range t.spec.OrderBy {
-		var av, bv sqltypes.Value
-		if i < len(ak) {
-			av = ak[i]
-		}
-		if i < len(bk) {
-			bv = bk[i]
-		}
-		c := sqltypes.Compare(av, bv)
+// evicted before b. It compares the rows' ordering keys, which the
+// ordering latch protects, so it needs no row latch.
+//
+//sqlcm:lock-held lat.order
+func lessImportant(orderBy []OrderKey, a, b *row) bool {
+	for i, o := range orderBy {
+		c := sqltypes.Compare(a.orderKey[i], b.orderKey[i])
 		if c == 0 {
 			continue
 		}

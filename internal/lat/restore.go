@@ -18,32 +18,23 @@ import (
 // value). Restoring into a non-empty group overwrites that group's
 // aggregate state.
 func (t *Table) Restore(rows [][]sqltypes.Value) error {
-	now := t.clock()
-	cols := t.spec.Columns()
+	now := t.now()
 	ng := len(t.spec.GroupBy)
 	for _, vals := range rows {
-		if len(vals) != len(cols) {
-			return fmt.Errorf("lat %s: restore row has %d values, want %d", t.spec.Name, len(vals), len(cols))
+		if len(vals) != len(t.cols) {
+			return fmt.Errorf("lat %s: restore row has %d values, want %d", t.spec.Name, len(vals), len(t.cols))
 		}
-		groupVals := append([]sqltypes.Value(nil), vals[:ng]...)
+		groupVals := vals[:ng]
 		key := string(sqltypes.EncodeKey(groupVals...))
-		sh := t.shardFor(key)
+		sh := shardFor(t, key)
 
 		if t.bounded {
 			t.orderMu.Lock()
 		}
 		sh.mu.Lock()
 		r := sh.groups[key]
-		fresh := r == nil
-		if fresh {
-			r = &row{key: key, groupVal: groupVals, heapIdx: -1, live: true}
-			r.aggs = make([]aggState, len(t.spec.Aggs))
-			sh.groups[key] = r
-			if t.bounded {
-				heap.Push(&rowHeapRef{t: t}, r)
-			}
-			t.nGroups.Add(1)
-			t.newGroups.Add(1)
+		if r == nil {
+			r = t.addGroupLocked(sh, key, groupVals, now)
 		}
 		r.mu.Lock()
 		oldMem := r.mem
@@ -53,19 +44,18 @@ func (t *Table) Restore(rows [][]sqltypes.Value) error {
 			r.aggs[i].restoreFrom(&t.spec, &t.spec.Aggs[i], vals[ng+i], now)
 		}
 		r.mem = r.memSize()
-		r.storeOrderKey(t.orderKeyLocked(r, now))
-		memDelta := r.mem - oldMem
+		t.mem.Add(r.mem - oldMem)
+		if t.bounded {
+			t.orderKeyLocked(r, now)
+		}
 		r.mu.Unlock()
 		sh.mu.Unlock()
-		t.mem.Add(memDelta)
 
 		if t.bounded {
 			// Reposition in the eviction heap and enforce limits; the shard
 			// latch is released so eviction can take victim shard latches in
 			// the orderMu → shard.mu order.
-			if r.heapIdx >= 0 && len(t.spec.OrderBy) > 0 {
-				heap.Fix(&rowHeapRef{t: t}, r.heapIdx)
-			}
+			heap.Fix(&t.order, r.heapIdx)
 			evicted := t.enforceLimitsLocked(now)
 			t.orderMu.Unlock()
 			t.deliverEvictions(evicted)

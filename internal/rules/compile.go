@@ -14,8 +14,9 @@ import (
 // query (§2.1: "ECA rules are amenable to implementation with low CPU and
 // memory overheads").
 
-// evalState is the per-evaluation scratch: the rule context plus the
-// memoized LAT-row lookups.
+// evalState is the evaluation scratch: the rule context plus the LAT-row
+// lookups memoized within one evaluation. It lives in the Ctx, so
+// evaluating a condition allocates no state of its own.
 type evalState struct {
 	eng     *Engine
 	ctx     *Ctx

@@ -26,6 +26,10 @@ type Ctx struct {
 	// Primary is the object bound by the rule's event clause; unqualified
 	// and LAT-grouping attribute references resolve against it.
 	Primary monitor.Object
+
+	// eval is the condition-evaluation scratch, reused by every rule a
+	// dispatch evaluates against this context.
+	eval evalState
 }
 
 // Object returns the in-context object of a class.
@@ -494,8 +498,10 @@ func (e *Engine) evalCond(cond sqlparser.Expr, ctx *Ctx) (bool, error) {
 //
 //sqlcm:hotpath
 func (e *Engine) runCond(fn condFn, ctx *Ctx) (bool, error) {
-	st := evalState{eng: e, ctx: ctx}
-	v, missing, err := fn(&st)
+	st := &ctx.eval
+	st.eng, st.ctx = e, ctx
+	clear(st.latRows)
+	v, missing, err := fn(st)
 	if err != nil || missing {
 		return false, err
 	}

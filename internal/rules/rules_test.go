@@ -531,3 +531,66 @@ func TestPersistFromLAT(t *testing.T) {
 		t.Fatalf("order/most-important-first: %v", env.persisted)
 	}
 }
+
+// TestRuleStringAndReset: a rule renders in the paper's Event/Condition/
+// Action form with every action described, and a Reset action fired
+// after an Insert leaves its LAT empty.
+func TestRuleStringAndReset(t *testing.T) {
+	cond, err := ParseCondition("Query.Duration > 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Rule{Name: "all", Event: monitor.EvQueryCommit, Condition: cond, Actions: []Action{
+		&InsertAction{LAT: "L"},
+		&ResetAction{LAT: "L"},
+		&PersistAction{Table: "P", FromLAT: "L"},
+		&PersistAction{Table: "P", Attrs: []string{"ID", "Duration"}},
+		&SendMailAction{Address: "dba@example.com"},
+		&RunExternalAction{Command: "report"},
+		&CancelAction{},
+		&CancelAction{Class: monitor.ClassBlocker},
+		&SetTimerAction{Timer: "T", Period: time.Second, Count: 2},
+		&FuncAction{Name: "hook"},
+	}}
+	want := "all: Event: Query.Commit Condition: (Query.Duration > 1) Action: " +
+		"Insert(L); Reset(L); Persist(P ← LAT L); Persist(P, ID, Duration); " +
+		"SendMail(dba@example.com); RunExternal(report); Cancel(); Cancel(Blocker); " +
+		"Set(T, 1s, 2); Func(hook)"
+	if got := r.String(); got != want {
+		t.Fatalf("String() =\n%s\nwant\n%s", got, want)
+	}
+	if got := (&Rule{Name: "any", Event: monitor.EvQueryCommit}).String(); !strings.Contains(got, "Condition: TRUE") {
+		t.Fatalf("rule without condition renders %q", got)
+	}
+
+	env := newFakeEnv()
+	tab, err := lat.New(lat.Spec{
+		Name:    "L",
+		GroupBy: []string{"Logical_Signature"},
+		Aggs:    []lat.AggCol{{Func: lat.Count, Name: "N"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.lats["L"] = tab
+	e := NewEngine(env)
+	if err := e.AddRule(&Rule{Name: "collect", Event: monitor.EvQueryCommit,
+		Actions: []Action{&InsertAction{LAT: "L"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddRule(&Rule{Name: "clear", Event: monitor.EvQueryCommit, Condition: cond,
+		Actions: []Action{&ResetAction{LAT: "L"}}}); err != nil {
+		t.Fatal(err)
+	}
+	dispatchQuery(e, queryObj(1, "a", 0.5))
+	if tab.Len() != 1 {
+		t.Fatalf("after a fast query the LAT holds %d groups, want 1", tab.Len())
+	}
+	dispatchQuery(e, queryObj(2, "b", 5))
+	if tab.Len() != 0 {
+		t.Fatalf("after Reset the LAT holds %d groups, want 0", tab.Len())
+	}
+	if err := (&ResetAction{LAT: "missing"}).Run(env, &Ctx{}); err == nil {
+		t.Fatal("Reset of an unknown LAT should fail")
+	}
+}

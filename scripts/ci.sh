@@ -27,6 +27,15 @@ make vet
 make vet-bench
 ./scripts/staticcheck.sh
 go test ./...
+
+# Alloc tier: the allocation-count tests (a LAT insert into an existing
+# group allocates nothing, a rule firing at most its new group's key, a
+# LAT-referencing condition only the row it reads) run again under their
+# own name, so an allocation regression on the monitored path fails
+# here rather than as one test among many.
+echo "== alloc tier =="
+go test -count=1 -run 'Allocs' ./internal/lat ./internal/rules ./internal/engine
+
 go test -race ./...
 
 # Benchmark tier: perfbench/ is its own Go module, which the root
