@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
@@ -24,8 +25,16 @@ type Table struct {
 	ID      int64
 	Name    string
 	Columns []Column
-	Indexes []*Index
+
+	// indexes is the table's index list. The optimizer reads it without
+	// a lock; CreateIndex publishes a new slice under the registry lock.
+	//sqlcm:cow catalog.registry
+	indexes atomic.Pointer[[]*Index]
 }
+
+// Indexes returns the table's indexes. The slice is shared: callers must
+// not modify it.
+func (t *Table) Indexes() []*Index { return *t.indexes.Load() }
 
 // ColumnIndex returns the position of the named column, or -1.
 func (t *Table) ColumnIndex(name string) int {
@@ -49,7 +58,7 @@ func (t *Table) PrimaryKeyColumn() int {
 
 // IndexByName returns the named index, or nil.
 func (t *Table) IndexByName(name string) *Index {
-	for _, ix := range t.Indexes {
+	for _, ix := range t.Indexes() {
 		if ix.Name == name {
 			return ix
 		}
@@ -128,8 +137,9 @@ func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 	}
 	t := &Table{ID: c.nextID, Name: name, Columns: append([]Column(nil), cols...)}
 	c.nextID++
+	var ixs []*Index
 	if i := t.PrimaryKeyColumn(); i >= 0 {
-		t.Indexes = append(t.Indexes, &Index{
+		ixs = append(ixs, &Index{
 			Name:    name + "_pk",
 			Table:   name,
 			Columns: []int{i},
@@ -137,6 +147,7 @@ func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 			Primary: true,
 		})
 	}
+	t.indexes.Store(&ixs)
 	c.tables[name] = t
 	c.stats[name] = &Stats{}
 	return t, nil
@@ -177,13 +188,15 @@ func (c *Catalog) Tables() []string {
 	return out
 }
 
-// CreateIndex registers a secondary index on an existing table.
-func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool) (*Index, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tables[table]
-	if !ok {
-		return nil, fmt.Errorf("catalog: table %q does not exist", table)
+// CreateIndex registers a secondary index on an existing table. build,
+// when non-nil, runs before the index is published and can refuse it:
+// the engine builds the index's storage there, so the optimizer never
+// plans with an index that has none. build runs without the registry
+// lock held.
+func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool, build func(*Index) error) (*Index, error) {
+	t, err := c.Table(table)
+	if err != nil {
+		return nil, err
 	}
 	if t.IndexByName(name) != nil {
 		return nil, fmt.Errorf("catalog: index %q already exists on %q", name, table)
@@ -197,7 +210,19 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool)
 		ords[i] = ord
 	}
 	ix := &Index{Name: name, Table: table, Columns: ords, Unique: unique}
-	t.Indexes = append(t.Indexes, ix)
+	if build != nil {
+		if err := build(ix); err != nil {
+			return nil, err
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.IndexByName(name) != nil { // lost a race with the same DDL
+		return nil, fmt.Errorf("catalog: index %q already exists on %q", name, table)
+	}
+	cur := t.Indexes()
+	next := append(append(make([]*Index, 0, len(cur)+1), cur...), ix)
+	t.indexes.Store(&next)
 	return ix, nil
 }
 

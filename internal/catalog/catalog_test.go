@@ -34,8 +34,8 @@ func TestCreateTableAndLookup(t *testing.T) {
 		t.Error("PrimaryKeyColumn wrong")
 	}
 	// Primary key auto-creates a unique index.
-	if len(tbl.Indexes) != 1 || !tbl.Indexes[0].Primary || !tbl.Indexes[0].Unique {
-		t.Fatalf("pk index: %+v", tbl.Indexes)
+	if len(tbl.Indexes()) != 1 || !tbl.Indexes()[0].Primary || !tbl.Indexes()[0].Unique {
+		t.Fatalf("pk index: %+v", tbl.Indexes())
 	}
 }
 
@@ -79,7 +79,7 @@ func TestCreateIndex(t *testing.T) {
 	if _, err := c.CreateTable("t", testCols()); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := c.CreateIndex("by_name", "t", []string{"name", "price"}, false)
+	ix, err := c.CreateIndex("by_name", "t", []string{"name", "price"}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +90,13 @@ func TestCreateIndex(t *testing.T) {
 	if tbl.IndexByName("by_name") != ix {
 		t.Error("IndexByName lookup failed")
 	}
-	if _, err := c.CreateIndex("by_name", "t", []string{"name"}, false); err == nil {
+	if _, err := c.CreateIndex("by_name", "t", []string{"name"}, false, nil); err == nil {
 		t.Error("duplicate index should fail")
 	}
-	if _, err := c.CreateIndex("x", "t", []string{"nope"}, false); err == nil {
+	if _, err := c.CreateIndex("x", "t", []string{"nope"}, false, nil); err == nil {
 		t.Error("bad column should fail")
 	}
-	if _, err := c.CreateIndex("x", "missing", []string{"a"}, false); err == nil {
+	if _, err := c.CreateIndex("x", "missing", []string{"a"}, false, nil); err == nil {
 		t.Error("bad table should fail")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/sqltypes"
@@ -18,46 +17,36 @@ const metaTable = "sqlcm_lat_checkpoints"
 // genColumn tags every data row with the generation that wrote it.
 const genColumn = "sqlcm_gen"
 
-// checkpointer periodically persists marked LATs to disk tables and
-// restores them at startup (§4.3 made crash-safe). Each checkpoint writes
-// a complete snapshot under a fresh generation number; old generations are
-// garbage-collected only after the new one commits.
+// checkpointer persists marked LATs to disk tables on demand and on
+// Detach, and restores them at startup (§4.3 made crash-safe). Each
+// checkpoint writes a complete snapshot under a fresh generation number;
+// old generations are garbage-collected only after the new one commits.
 type checkpointer struct {
-	s        *SQLCM
-	interval time.Duration
+	s *SQLCM
 
-	// mu protects the mark and generation maps and the loop state.
+	// mu protects the mark and generation maps.
 	//sqlcm:lock core.checkpoint
-	//sqlcm:guards marks, lastGen, started
+	//sqlcm:guards marks, lastGen
 	mu      lockcheck.Mutex
 	marks   map[string]string // LAT name → disk table
 	lastGen map[string]int64  // LAT name → last committed generation
-
-	stopCh  chan struct{}
-	done    chan struct{}
-	started bool
 
 	ckpts    atomic.Int64
 	failures atomic.Int64
 }
 
-func newCheckpointer(s *SQLCM, interval time.Duration) *checkpointer {
+func newCheckpointer(s *SQLCM) *checkpointer {
 	c := &checkpointer{
-		s:        s,
-		interval: interval,
-		marks:    make(map[string]string),
-		lastGen:  make(map[string]int64),
-		stopCh:   make(chan struct{}),
-		done:     make(chan struct{}),
+		s:       s,
+		marks:   make(map[string]string),
+		lastGen: make(map[string]int64),
 	}
 	c.mu.SetClass("core.checkpoint")
 	return c
 }
 
 // mark registers a LAT for checkpointing into table and immediately
-// restores the newest consistent generation found there (if any). It also
-// starts the background checkpoint loop on first use when an interval is
-// configured.
+// restores the newest consistent generation found there (if any).
 func (c *checkpointer) mark(latName, table string) error {
 	t, ok := c.s.LAT(latName)
 	if !ok {
@@ -69,10 +58,6 @@ func (c *checkpointer) mark(latName, table string) error {
 		return fmt.Errorf("core: LAT %q already checkpoints to %q", latName, prev)
 	}
 	c.marks[latName] = table
-	startLoop := c.interval > 0 && !c.started
-	if startLoop {
-		c.started = true
-	}
 	c.mu.Unlock()
 
 	gen, maxGen, rows, err := c.newestConsistent(latName, table)
@@ -93,9 +78,6 @@ func (c *checkpointer) mark(latName, table string) error {
 			c.lastGen[latName] = maxGen
 		}
 		c.mu.Unlock()
-	}
-	if startLoop {
-		go c.loop()
 	}
 	return nil
 }
@@ -156,21 +138,6 @@ func (c *checkpointer) newestConsistent(latName, table string) (gen, maxGen int6
 		return 0, maxGen, nil, nil
 	}
 	return best.gen, maxGen, byGen[best.gen], nil
-}
-
-// loop runs periodic checkpoints until stop.
-func (c *checkpointer) loop() {
-	defer close(c.done)
-	tick := time.NewTicker(c.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			c.checkpointAll()
-		case <-c.stopCh:
-			return
-		}
-	}
 }
 
 // checkpointAll checkpoints every marked LAT, counting (not propagating)
@@ -254,28 +221,14 @@ func (c *checkpointer) checkpoint(latName, table string) error {
 	return nil
 }
 
-// stop halts the background loop and takes one final checkpoint so a clean
-// shutdown never loses observations.
-func (c *checkpointer) stop() {
-	c.mu.Lock()
-	started := c.started
-	c.started = false
-	c.mu.Unlock()
-	if started {
-		close(c.stopCh)
-		<-c.done
-	}
-	c.checkpointAll()
-}
-
 // ---------------------------------------------------------------------------
 // SQLCM surface
 // ---------------------------------------------------------------------------
 
 // MarkForCheckpoint registers a LAT for crash-safe checkpointing into a
 // disk table and restores the newest consistent checkpoint found there.
-// With Failsafe.CheckpointInterval set, marked LATs are checkpointed
-// periodically and once more on Detach; CheckpointNow forces one anytime.
+// Marked LATs are checkpointed on Detach; CheckpointNow forces one
+// anytime.
 func (s *SQLCM) MarkForCheckpoint(latName, table string) error {
 	return s.ckpt.mark(latName, table)
 }

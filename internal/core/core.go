@@ -115,10 +115,6 @@ type FailsafeOptions struct {
 	DispatchBudget time.Duration
 	// ShedSampleN is the degraded-mode sampling rate (default 16).
 	ShedSampleN int
-	// CheckpointInterval is the period of automatic LAT checkpoints for
-	// tables registered with MarkForCheckpoint. Zero disables the
-	// background checkpointer (CheckpointNow still works).
-	CheckpointInterval time.Duration
 }
 
 // Options configures an SQLCM instance.
@@ -134,7 +130,7 @@ type Options struct {
 	Failsafe FailsafeOptions
 	// RuleCheck selects how static rule analysis treats findings at
 	// registration time: Warn (default) records them, Strict rejects
-	// rules with error-severity findings, Off skips analysis.
+	// rules with error-severity findings.
 	RuleCheck rulecheck.Mode
 }
 
@@ -206,7 +202,7 @@ func Attach(eng *engine.Engine, opts Options) *SQLCM {
 	})
 	s.hooks = event.NewHooks(s.bus, s.sigs, s.txns)
 	s.timers = rules.NewTimerManager(s.bus)
-	s.ckpt = newCheckpointer(s, opts.Failsafe.CheckpointInterval)
+	s.ckpt = newCheckpointer(s)
 	eng.SetHooks(s.hooks)
 	s.attached.Store(true)
 	return s
@@ -222,7 +218,7 @@ func (s *SQLCM) Detach() error {
 	}
 	s.eng.SetHooks(nil)
 	s.timers.Close()
-	s.ckpt.stop()
+	s.ckpt.checkpointAll()
 	return s.box.Close()
 }
 
@@ -374,9 +370,11 @@ func (s *SQLCM) PersistLAT(name, table string) error {
 	return nil
 }
 
-// LoadLAT folds the contents of a previously persisted table back into the
-// LAT, carrying monitoring state across server restarts (§4.3). The
-// trailing timestamp column added by Persist is dropped.
+// LoadLAT restores the LAT from a table written by PersistLAT or the
+// Persist action, carrying monitoring state across server restarts
+// (§4.3). COUNT, SUM, MIN, MAX, FIRST and LAST resume exactly (see
+// lat.Table.Restore). When the table holds several dumps, each group is
+// restored from its row with the newest sqlcm_ts.
 func (s *SQLCM) LoadLAT(name, table string) error {
 	t, ok := s.LAT(name)
 	if !ok {
@@ -386,15 +384,26 @@ func (s *SQLCM) LoadLAT(name, table string) error {
 	if err != nil {
 		return err
 	}
-	want := len(t.Spec().Columns())
-	trimmed := make([][]sqltypes.Value, 0, len(rows))
+	want := len(t.Spec().Columns()) // the sqlcm_ts column follows
+	ng := len(t.Spec().GroupBy)
+	var latest [][]sqltypes.Value
+	at := make(map[string]int, len(rows))
 	for _, r := range rows {
-		if len(r) == want+1 {
-			r = r[:want] // drop the timestamp column
+		if len(r) != want+1 {
+			return fmt.Errorf("core: %s row has %d columns, want %d", table, len(r), want+1)
 		}
-		trimmed = append(trimmed, r)
+		key := string(sqltypes.EncodeKey(r[:ng]...))
+		if i, seen := at[key]; !seen {
+			at[key] = len(latest)
+			latest = append(latest, r)
+		} else if sqltypes.Compare(r[want], latest[i][want]) > 0 {
+			latest[i] = r
+		}
 	}
-	return t.Load(trimmed)
+	for i, r := range latest {
+		latest[i] = r[:want]
+	}
+	return t.Restore(latest)
 }
 
 // ---------------------------------------------------------------------------

@@ -459,23 +459,42 @@ func TestLATPersistenceAcrossRestart(t *testing.T) {
 	if _, err := s.NewRule("collect", "Query.Commit", "", &rules.InsertAction{LAT: "Persistent"}); err != nil {
 		t.Fatal(err)
 	}
+	lt, _ := s.LAT("Persistent")
+	// restart persists the LAT as one more dump into lat_backup, drops and
+	// re-defines it, and reloads it; the reloaded rows must equal the
+	// rows persisted last, aggregate values included.
+	restart := func() {
+		t.Helper()
+		want := lt.Rows()
+		if err := s.PersistLAT("Persistent", "lat_backup"); err != nil {
+			t.Fatal(err)
+		}
+		s.DropLAT("Persistent")
+		if _, err := s.DefineLAT(spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LoadLAT("Persistent", "lat_backup"); err != nil {
+			t.Fatal(err)
+		}
+		lt, _ = s.LAT("Persistent")
+		if got := lt.Rows(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("restored rows %v, persisted %v", got, want)
+		}
+	}
 	for i := 0; i < 10; i++ {
 		mustExec(t, sess, fmt.Sprintf("SELECT val FROM items WHERE id = %d", i+1))
 	}
-	if err := s.PersistLAT("Persistent", "lat_backup"); err != nil {
-		t.Fatal(err)
+	restart()
+	if rows := lt.Rows(); len(rows) != 1 || rows[0][1].Int() != 10 {
+		t.Fatalf("restored rows: %v, want one group with N = 10", rows)
 	}
-	// "Restart": drop and re-define, then reload.
-	s.DropLAT("Persistent")
-	if _, err := s.DefineLAT(spec); err != nil {
-		t.Fatal(err)
+	// A second dump lands in the same table: the newest row per group wins.
+	for i := 0; i < 5; i++ {
+		mustExec(t, sess, fmt.Sprintf("SELECT val FROM items WHERE id = %d", i+1))
 	}
-	if err := s.LoadLAT("Persistent", "lat_backup"); err != nil {
-		t.Fatal(err)
-	}
-	lt, _ := s.LAT("Persistent")
-	if lt.Len() != 1 {
-		t.Fatalf("restored groups: %d", lt.Len())
+	restart()
+	if rows := lt.Rows(); len(rows) != 1 || rows[0][1].Int() != 15 {
+		t.Fatalf("restored rows: %v, want one group with N = 15", rows)
 	}
 }
 

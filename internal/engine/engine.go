@@ -13,7 +13,6 @@ import (
 
 	"sqlcm/internal/catalog"
 	"sqlcm/internal/exec"
-	"sqlcm/internal/index"
 	"sqlcm/internal/lock"
 	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/plan"
@@ -36,10 +35,6 @@ type Config struct {
 	// LockTimeout bounds lock waits; zero waits forever (deadlock detection
 	// still applies). Default 10s.
 	LockTimeout time.Duration
-	// VersionGCEvery is the writer-commit interval between version-garbage
-	// collection passes (default 256). Negative disables automatic pruning
-	// (tests drive PruneVersionsNow directly).
-	VersionGCEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -48,9 +43,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LockTimeout == 0 {
 		c.LockTimeout = 10 * time.Second
-	}
-	if c.VersionGCEvery == 0 {
-		c.VersionGCEvery = 256
 	}
 	return c
 }
@@ -93,11 +85,6 @@ type Engine struct {
 	// mvccStats aggregates version-store counters across all tables (the
 	// Versions_Pruned / Versions_Retained probes).
 	mvccStats storage.VersionStats
-	// gcTick counts writer commits; every VersionGCEvery-th triggers a
-	// version-garbage pass. gcBusy collapses concurrent triggers into one
-	// running pass.
-	gcTick atomic.Int64
-	gcBusy atomic.Bool
 
 	// planGen counts plan-cache invalidations (DDL). Prepared statements
 	// snapshot it and re-plan when it moves, so a handle never executes a
@@ -148,50 +135,20 @@ func Open(cfg Config) (*Engine, error) {
 	e.planMu.SetClass("engine.plan")
 	e.queryMu.SetClass("engine.query")
 	locks.SetNotifier(&lockBridge{e: e})
-	if cfg.VersionGCEvery > 0 {
-		e.tm.SetPostCommit(e.onWriterCommit)
-	}
 	return e, nil
 }
 
-// onWriterCommit is the transaction manager's post-commit observer: every
-// VersionGCEvery-th writer commit triggers a version-garbage pass. It runs
-// on the committing goroutine after that transaction's locks released, so
-// the prune transactions it opens cannot deadlock with the trigger.
-func (e *Engine) onWriterCommit(int64) {
-	if e.gcTick.Add(1)%int64(e.cfg.VersionGCEvery) == 0 {
-		e.PruneVersionsNow()
-	}
-}
-
-// PruneVersionsNow runs one version-garbage-collection pass over every
-// table at the current watermark (oldest active snapshot).
-// Each table is pruned under its exclusive lock inside a short internal
-// transaction, so pruning serializes against writers exactly like a
-// statement; the internal transactions carry no QueryInfo and are therefore
-// invisible to the monitor. Concurrent calls collapse into the one running
-// pass. Prune transactions stamp no versions, so they never re-trigger the
-// post-commit observer.
-func (e *Engine) PruneVersionsNow() {
-	if !e.gcBusy.CompareAndSwap(false, true) {
-		return
-	}
-	defer e.gcBusy.Store(false)
+// pruneAll runs one version-garbage-collection pass over every table at
+// the current watermark (oldest active snapshot), each table under its
+// exclusive lock. Only Close uses it: while the engine runs, writers
+// prune the tables they write (exec.TableStore.NoteGarbage).
+func (e *Engine) pruneAll() {
 	for _, name := range e.reg.Names() {
-		ts, err := e.reg.Store(name)
-		if err != nil {
-			continue
-		}
-		t := e.tm.Begin(true)
-		if err := e.locks.Acquire(t.ID, lock.TableResource(name), lock.Exclusive); err != nil {
-			e.tm.Rollback(t) //nolint:errcheck
-			continue // contended or cancelled: the next pass retries
-		}
-		// Watermark is read after the X lock is held: no writer on this
-		// table is in its commit window, and any snapshot taken later
-		// observes at least the newest committed timestamp.
-		ts.PruneVersions(e.tm.Watermark())
-		e.tm.Commit(t) //nolint:errcheck
+		// A table dropped meanwhile has nothing left to prune.
+		_ = e.writeDirect(name, func(_ *exec.Ctx, ts *exec.TableStore) error {
+			ts.PruneVersions(e.tm.Watermark())
+			return nil
+		})
 	}
 }
 
@@ -207,7 +164,7 @@ func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
-	e.PruneVersionsNow()
+	e.pruneAll()
 	if err := e.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -511,94 +468,84 @@ func (e *Engine) DropTable(name string) error {
 	return nil
 }
 
-// InsertRowDirect appends one row to a table outside any user transaction
-// (used by monitoring actions such as LAT persistence, which must not
-// interfere with user transactions). The caller supplies values in table
-// column order.
-func (e *Engine) InsertRowDirect(table string, row []sqltypes.Value) error {
+// writeDirect runs body in a short internal transaction that holds the
+// exclusive lock on table: begin, lock, body, then commit, or roll back
+// when the lock or body fails. The transaction carries no QueryInfo, so
+// it is invisible to the monitor. The watermark read under the lock is
+// safe to prune at: no writer on the table is in its commit window.
+func (e *Engine) writeDirect(table string, body func(ctx *exec.Ctx, ts *exec.TableStore) error) error {
 	ts, err := e.reg.Store(table)
 	if err != nil {
 		return err
 	}
 	t := e.tm.Begin(true)
-	ctx := &exec.Ctx{Txn: t}
 	if err := e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
 		e.tm.Rollback(t) //nolint:errcheck
 		return err
 	}
-	if err := exec.InsertRow(ctx, ts, row, e.cat); err != nil {
+	if err := body(&exec.Ctx{Txn: t}, ts); err != nil {
 		e.tm.Rollback(t) //nolint:errcheck
 		return err
 	}
 	return e.tm.Commit(t)
 }
 
-// TruncateTableDirect removes all rows of a table outside any user
-// transaction (monitoring/reporting maintenance).
-func (e *Engine) TruncateTableDirect(table string) error {
-	ts, err := e.reg.Store(table)
-	if err != nil {
-		return err
+// noteGarbage counts an UPDATE or DELETE statement that changed n rows of
+// table. Every so often the table is pruned right there, under the
+// exclusive lock the statement holds, so the pass never waits and its
+// time is part of the statement's Duration.
+func (e *Engine) noteGarbage(table string, n int64) {
+	if ts, err := e.reg.Store(table); err == nil && n > 0 {
+		ts.NoteGarbage(e.tm.Watermark)
 	}
-	t := e.tm.Begin(true)
-	if err := e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
-		e.tm.Rollback(t) //nolint:errcheck
-		return err
-	}
-	if err := ts.Heap.Truncate(); err != nil {
-		e.tm.Rollback(t) //nolint:errcheck
-		return err
-	}
-	for name, ix := range ts.Indexes {
-		ts.Indexes[name] = index.New(ix.Unique())
-	}
-	ts.Vers.Reset()
-	e.cat.AddRows(table, -1<<40) // clamps at zero
-	return e.tm.Commit(t)
+}
+
+// InsertRowDirect appends one row to a table outside any user transaction
+// (used by monitoring actions such as LAT persistence, which must not
+// interfere with user transactions). The caller supplies values in table
+// column order.
+func (e *Engine) InsertRowDirect(table string, row []sqltypes.Value) error {
+	return e.writeDirect(table, func(ctx *exec.Ctx, ts *exec.TableStore) error {
+		return exec.InsertRow(ctx, ts, row, e.cat)
+	})
 }
 
 // DeleteRowsDirect removes every row matching pred outside any user
 // transaction (used by the LAT checkpointer to garbage-collect superseded
 // checkpoint generations). It returns the number of rows deleted.
 func (e *Engine) DeleteRowsDirect(table string, pred func(row []sqltypes.Value) bool) (int64, error) {
-	ts, err := e.reg.Store(table)
+	var n int64
+	err := e.writeDirect(table, func(ctx *exec.Ctx, ts *exec.TableStore) error {
+		ncols := len(ts.Meta.Columns)
+		type victim struct {
+			rid storage.RID
+			row []sqltypes.Value
+		}
+		var victims []victim
+		// The chains are authoritative (the heap still holds deleted-but-
+		// unpruned row images).
+		for _, cr := range ts.Vers.CurrentScan() {
+			row, err := exec.DecodeRow(cr.Rec, ncols)
+			if err != nil {
+				return err
+			}
+			if pred(row) {
+				victims = append(victims, victim{rid: cr.Rid, row: row})
+			}
+		}
+		for _, v := range victims {
+			if err := exec.DeleteRow(ctx, ts, v.rid, v.row, e.cat); err != nil {
+				return err
+			}
+		}
+		n = int64(len(victims))
+		e.noteGarbage(table, n)
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	t := e.tm.Begin(true)
-	ctx := &exec.Ctx{Txn: t}
-	if err := e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
-		e.tm.Rollback(t) //nolint:errcheck
-		return 0, err
-	}
-	ncols := len(ts.Meta.Columns)
-	type victim struct {
-		rid storage.RID
-		row []sqltypes.Value
-	}
-	var victims []victim
-	// The chains are authoritative (the heap still holds deleted-but-
-	// unpruned row images).
-	for _, cr := range ts.Vers.CurrentScan() {
-		row, err := exec.DecodeRow(cr.Rec, ncols)
-		if err != nil {
-			e.tm.Rollback(t) //nolint:errcheck
-			return 0, err
-		}
-		if pred(row) {
-			victims = append(victims, victim{rid: cr.Rid, row: row})
-		}
-	}
-	for _, v := range victims {
-		if err := exec.DeleteRow(ctx, ts, v.rid, v.row, e.cat); err != nil {
-			e.tm.Rollback(t) //nolint:errcheck
-			return 0, err
-		}
-	}
-	if err := e.tm.Commit(t); err != nil {
-		return 0, err
-	}
-	return int64(len(victims)), nil
+	return n, nil
 }
 
 // ReadTableDirect returns all rows of a table (used to reload persisted

@@ -188,19 +188,7 @@ func (s *Session) execPlanned(ctx context.Context, cp *cachedPlan, sql string, p
 		}
 		return &Result{}, s.e.CreateTable(stmt.Name, cols)
 	case *sqlparser.CreateIndex:
-		ix, err := s.e.cat.CreateIndex(stmt.Name, stmt.Table, stmt.Columns, stmt.Unique)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := s.e.reg.Store(stmt.Table)
-		if err != nil {
-			return nil, err
-		}
-		if err := ts.AddIndex(ix); err != nil {
-			return nil, err
-		}
-		s.e.invalidatePlans()
-		return &Result{}, nil
+		return &Result{}, s.createIndex(stmt)
 	case *sqlparser.DropTable:
 		return &Result{}, s.e.DropTable(stmt.Name)
 	case *sqlparser.CreateProcedure:
@@ -217,6 +205,36 @@ func (s *Session) execPlanned(ctx context.Context, cp *cachedPlan, sql string, p
 	default:
 		return nil, fmt.Errorf("engine: statement %T not executable at session level", cp.stmt)
 	}
+}
+
+// createIndex builds the index's B+tree under the table's exclusive lock,
+// so no writer misses the new index, and publishes it to the store before
+// the catalog, so the optimizer never plans with an index that has no
+// storage. Inside an explicit transaction that transaction takes the
+// lock (and holds it to its end); otherwise a short internal one does.
+func (s *Session) createIndex(stmt *sqlparser.CreateIndex) error {
+	build := func(_ *exec.Ctx, ts *exec.TableStore) error {
+		_, err := s.e.cat.CreateIndex(stmt.Name, stmt.Table, stmt.Columns, stmt.Unique, ts.AddIndex)
+		return err
+	}
+	if s.tx == nil {
+		if err := s.e.writeDirect(stmt.Table, build); err != nil {
+			return err
+		}
+	} else {
+		if err := s.e.locks.Acquire(s.tx.ID, lock.TableResource(stmt.Table), lock.Exclusive); err != nil {
+			return err
+		}
+		ts, err := s.e.reg.Store(stmt.Table)
+		if err != nil {
+			return err
+		}
+		if err := build(nil, ts); err != nil {
+			return err
+		}
+	}
+	s.e.invalidatePlans()
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -473,12 +491,14 @@ func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params 
 		if err != nil {
 			return nil, err
 		}
+		s.e.noteGarbage(p.Table.Name, n)
 		return &Result{Affected: n}, nil
 	case *plan.PhysDelete:
 		n, err := exec.ExecDelete(ctx, s.e.reg, p, s.e.cat)
 		if err != nil {
 			return nil, err
 		}
+		s.e.noteGarbage(p.Table.Name, n)
 		return &Result{Affected: n}, nil
 	default:
 		op, err := exec.Build(cp.physical, s.e.reg)

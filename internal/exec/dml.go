@@ -92,14 +92,14 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 	}
 	// Maintain indexes; unwind on unique violation.
 	var done []*catalog.Index
-	for _, ix := range meta.Indexes {
-		bt := ts.Indexes[ix.Name]
+	for _, ix := range meta.Indexes() {
+		bt := ts.Index(ix.Name)
 		if bt == nil {
 			continue
 		}
 		if err := insertEntry(ts, bt, ts.IndexKey(ix, row), rid); err != nil {
 			for _, u := range done {
-				ts.Indexes[u.Name].Delete(ts.IndexKey(u, row), rid)
+				ts.Index(u.Name).Delete(ts.IndexKey(u, row), rid)
 			}
 			if derr := ts.Heap.Delete(rid); derr != nil {
 				return fmt.Errorf("exec: unwind failed (%v) after: %w", derr, err)
@@ -125,8 +125,8 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		ctx.Txn.OnRollback(func() error {
 			heapRid := ts.Vers.CurrentRID(rid)
 			ts.Vers.Discard(rid)
-			for _, ix := range meta.Indexes {
-				if bt := ts.Indexes[ix.Name]; bt != nil {
+			for _, ix := range meta.Indexes() {
+				if bt := ts.Index(ix.Name); bt != nil {
 					bt.Delete(ts.IndexKey(ix, rowCopy), rid)
 				}
 			}
@@ -211,7 +211,7 @@ func collectTargetsWithRIDs(ctx *Ctx, ts *TableStore, access *plan.AccessPath, s
 		return out, nil
 	}
 
-	bt := ts.Indexes[access.Index.Name]
+	bt := ts.Index(access.Index.Name)
 	if bt == nil {
 		return nil, fmt.Errorf("exec: index %q has no storage", access.Index.Name)
 	}
@@ -369,7 +369,7 @@ func revertIndexDeltas(ts *TableStore, rid, anchor storage.RID, deltas []ixDelta
 		d := deltas[i]
 		ts.Vers.TakePending(rid, d.ix.Name, d.oldKey)
 		if d.inserted {
-			if bt := ts.Indexes[d.ix.Name]; bt != nil {
+			if bt := ts.Index(d.ix.Name); bt != nil {
 				bt.Delete(d.newKey, anchor)
 			}
 		}
@@ -409,8 +409,8 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row, re
 	anchor := ts.Vers.Anchor(newRid)
 
 	var deltas []ixDelta
-	for _, ix := range ts.Meta.Indexes {
-		bt := ts.Indexes[ix.Name]
+	for _, ix := range ts.Meta.Indexes() {
+		bt := ts.Index(ix.Name)
 		if bt == nil {
 			continue
 		}
@@ -510,8 +510,8 @@ func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 		v.SetCommit(storage.BaseCommitTS)
 	}
 	anchor := ts.Vers.Anchor(rid)
-	for _, ix := range ts.Meta.Indexes {
-		if ts.Indexes[ix.Name] == nil {
+	for _, ix := range ts.Meta.Indexes() {
+		if ts.Index(ix.Name) == nil {
 			continue
 		}
 		ts.Vers.AddPending(rid, ix.Name, ts.IndexKey(ix, row), anchor, v)
@@ -523,8 +523,8 @@ func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 		rowCopy := row.Clone()
 		ctx.Txn.OnRollback(func() error {
 			cur := ts.Vers.CurrentRID(rid)
-			for _, ix := range ts.Meta.Indexes {
-				if ts.Indexes[ix.Name] == nil {
+			for _, ix := range ts.Meta.Indexes() {
+				if ts.Index(ix.Name) == nil {
 					continue
 				}
 				ts.Vers.TakePending(cur, ix.Name, ts.IndexKey(ix, rowCopy))

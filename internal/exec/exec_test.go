@@ -83,15 +83,12 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		h.reg.Register(s.Name, ts)
 		return nil, 0, nil
 	case *sqlparser.CreateIndex:
-		ix, err := h.cat.CreateIndex(s.Name, s.Table, s.Columns, s.Unique)
-		if err != nil {
-			return nil, 0, err
-		}
 		ts, err := h.reg.Store(s.Table)
 		if err != nil {
 			return nil, 0, err
 		}
-		return nil, 0, ts.AddIndex(ix)
+		_, err = h.cat.CreateIndex(s.Name, s.Table, s.Columns, s.Unique, ts.AddIndex)
+		return nil, 0, err
 	}
 	l, err := plan.BuildLogical(stmt, h.cat)
 	if err != nil {

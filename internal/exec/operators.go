@@ -213,8 +213,8 @@ func (s *scanOp) Open(ctx *Ctx) error {
 		s.snapRows = s.store.Vers.SnapScan(*ctx.Snap)
 		return nil
 	}
-	bt, ok := s.store.Indexes[s.access.Index.Name]
-	if !ok {
+	bt := s.store.Index(s.access.Index.Name)
+	if bt == nil {
 		return fmt.Errorf("exec: index %q has no storage", s.access.Index.Name)
 	}
 	// Evaluate the key bounds.
@@ -652,8 +652,8 @@ func (j *indexNLJoinOp) Open(ctx *Ctx) error {
 }
 
 func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
-	bt, ok := j.store.Indexes[j.ix]
-	if !ok {
+	bt := j.store.Index(j.ix)
+	if bt == nil {
 		return nil, fmt.Errorf("exec: index %q has no storage", j.ix)
 	}
 	for {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sqlcm/internal/catalog"
@@ -12,18 +13,36 @@ import (
 	"sqlcm/internal/storage"
 )
 
+// pruneEvery is the number of UPDATE or DELETE statements on one table
+// between two version-garbage passes over it.
+const pruneEvery = 256
+
 // TableStore binds a catalog table to its heap file, version chains and
 // index structures.
 type TableStore struct {
-	Meta    *catalog.Table
-	Heap    *storage.HeapFile
-	Indexes map[string]*index.BTree // keyed by index name
+	Meta *catalog.Table
+	Heap *storage.HeapFile
+
+	// ixMu serializes index creation; its only protected state is the
+	// COW index map below.
+	//sqlcm:lock exec.indexes
+	//sqlcm:guards none
+	ixMu sync.Mutex
+	// indexes maps index names to B+trees. Lock-free readers Load it;
+	// CREATE INDEX builds a new map under ixMu (and the table's exclusive
+	// lock) and swaps it in, so a reader sees the old set or the new one.
+	//sqlcm:cow exec.indexes
+	indexes atomic.Pointer[map[string]*index.BTree]
 
 	// Vers holds the row versions: the chains are the authoritative read
 	// path (snapshot and current mode), the heap mirrors the current row
 	// images, and physical deletes are deferred to the version-garbage
 	// collector.
 	Vers *storage.VersionStore
+
+	// garbageStmts counts UPDATE and DELETE statements that changed rows
+	// (see NoteGarbage).
+	garbageStmts atomic.Int64
 }
 
 // NewTableStore creates storage for a table, including B+trees for every
@@ -35,15 +54,21 @@ func NewTableStore(meta *catalog.Table, pool *storage.BufferPool, stats *storage
 		return nil, err
 	}
 	ts := &TableStore{
-		Meta:    meta,
-		Heap:    heap,
-		Indexes: make(map[string]*index.BTree),
-		Vers:    storage.NewVersionStore(stats),
+		Meta: meta,
+		Heap: heap,
+		Vers: storage.NewVersionStore(stats),
 	}
-	for _, ix := range meta.Indexes {
-		ts.Indexes[ix.Name] = index.New(ix.Unique)
+	m := make(map[string]*index.BTree)
+	for _, ix := range meta.Indexes() {
+		m[ix.Name] = index.New(ix.Unique)
 	}
+	ts.indexes.Store(&m)
 	return ts, nil
+}
+
+// Index returns the B+tree of the named index, or nil.
+func (ts *TableStore) Index(name string) *index.BTree {
+	return (*ts.indexes.Load())[name]
 }
 
 // IndexKey extracts the encoded key of row for the given index.
@@ -55,9 +80,11 @@ func (ts *TableStore) IndexKey(ix *catalog.Index, row Row) []byte {
 	return sqltypes.EncodeKey(vals...)
 }
 
-// AddIndex registers a new B+tree for ix and populates it from the current
-// row versions (the heap still holds deleted-but-unpruned rows). Entries
-// carry anchor RIDs.
+// AddIndex builds a B+tree for ix from the current row versions (the
+// heap still holds deleted-but-unpruned rows) and publishes it. Entries
+// carry anchor RIDs. The caller holds the table's exclusive lock, so no
+// writer changes the rows while the tree is built; a failed build (a
+// unique index over duplicate keys) publishes nothing.
 func (ts *TableStore) AddIndex(ix *catalog.Index) error {
 	bt := index.New(ix.Unique)
 	ncols := len(ts.Meta.Columns)
@@ -70,7 +97,15 @@ func (ts *TableStore) AddIndex(ix *catalog.Index) error {
 			return fmt.Errorf("exec: building index %s: %w", ix.Name, err)
 		}
 	}
-	ts.Indexes[ix.Name] = bt
+	ts.ixMu.Lock()
+	cur := *ts.indexes.Load()
+	next := make(map[string]*index.BTree, len(cur)+1)
+	for name, t := range cur {
+		next[name] = t
+	}
+	next[ix.Name] = bt
+	ts.indexes.Store(&next)
+	ts.ixMu.Unlock()
 	return nil
 }
 
@@ -82,12 +117,24 @@ func (ts *TableStore) AddIndex(ix *catalog.Index) error {
 func (ts *TableStore) PruneVersions(watermark int64) {
 	work := ts.Vers.Prune(watermark)
 	for _, p := range work.Entries {
-		if bt := ts.Indexes[p.Index]; bt != nil {
+		if bt := ts.Index(p.Index); bt != nil {
 			bt.Delete(p.Key, p.Rid)
 		}
 	}
 	for _, rid := range work.HeapRIDs {
 		_ = ts.Heap.Delete(rid) // slot already reclaimed is fine
+	}
+}
+
+// NoteGarbage counts one UPDATE or DELETE statement that changed rows of
+// the table and, on every pruneEvery-th, prunes the table at watermark().
+// The writer calls it while still holding the table's exclusive lock, so
+// the pass needs no lock of its own and never waits. INSERT-only work
+// creates no superseded versions, tombstones or deferred index entries,
+// so it never calls NoteGarbage.
+func (ts *TableStore) NoteGarbage(watermark func() int64) {
+	if ts.garbageStmts.Add(1)%pruneEvery == 0 {
+		ts.PruneVersions(watermark())
 	}
 }
 

@@ -35,8 +35,8 @@ func TestAddIndexBuildsAfterScan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("store: %v", err)
 	}
-	bt, ok := ts.Indexes["t_grp"]
-	if !ok {
+	bt := ts.Index("t_grp")
+	if bt == nil {
 		t.Fatalf("index t_grp not registered")
 	}
 
@@ -55,7 +55,7 @@ func TestAddIndexBuildsAfterScan(t *testing.T) {
 	if _, _, err := h.exec("CREATE UNIQUE INDEX t_grp_u ON t (grp)", nil); err == nil {
 		t.Fatalf("unique index over duplicate keys built without error")
 	}
-	if _, ok := ts.Indexes["t_grp_u"]; ok {
+	if ts.Index("t_grp_u") != nil || ts.Meta.IndexByName("t_grp_u") != nil {
 		t.Fatalf("failed unique index was registered anyway")
 	}
 }

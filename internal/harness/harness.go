@@ -32,6 +32,7 @@ import (
 	"sqlcm/internal/rules"
 	"sqlcm/internal/signature"
 	"sqlcm/internal/sqlparser"
+	"sqlcm/internal/sqltypes"
 	"sqlcm/internal/workload"
 )
 
@@ -645,7 +646,9 @@ func RunFig3(cfg Fig3Config, progress io.Writer) ([]Fig3Row, error) {
 		return approach{
 			attach: func() { eng.SetHooks(logger) },
 			detach: func() { eng.SetHooks(nil) },
-			reset:  func() { _ = eng.TruncateTableDirect("query_log") },
+			reset: func() {
+				_, _ = eng.DeleteRowsDirect("query_log", func([]sqltypes.Value) bool { return true })
+			},
 			stop: func() ([]baseline.TopEntry, int64) {
 				eng.SetHooks(nil)
 				got, err := logger.TopK(cfg.K)

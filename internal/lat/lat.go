@@ -807,40 +807,6 @@ func (t *Table) Reset() {
 	t.orderMu.Unlock()
 }
 
-// Load replays persisted rows into the table as single observations (used
-// to carry LAT contents across server restarts, §4.3). Aggregates resume
-// approximately: each persisted AVG/SUM/… row is folded back as one
-// observation per aggregate column.
-func (t *Table) Load(rows [][]sqltypes.Value) error {
-	cols := t.spec.Columns()
-	for _, vals := range rows {
-		if len(vals) != len(cols) {
-			return fmt.Errorf("lat %s: load row has %d values, want %d", t.spec.Name, len(vals), len(cols))
-		}
-		attrByName := make(map[string]sqltypes.Value, len(cols))
-		for i, c := range cols {
-			attrByName[c] = vals[i]
-		}
-		err := t.Insert(func(attr string) (sqltypes.Value, bool) {
-			// Grouping attributes resolve by name; aggregation sources
-			// resolve through their output column value.
-			if v, ok := attrByName[attr]; ok {
-				return v, true
-			}
-			for i, a := range t.spec.Aggs {
-				if a.Attr == attr {
-					return vals[len(t.spec.GroupBy)+i], true
-				}
-			}
-			return sqltypes.Null, false
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // --- ordering heap (least important at the top) ---
 
 // rowHeap is the eviction heap, a heap.Interface over the table's rows.

@@ -375,7 +375,7 @@ func TestAgingBlockBound(t *testing.T) {
 	}
 }
 
-func TestLoadRoundTrip(t *testing.T) {
+func TestRestoreRoundTrip(t *testing.T) {
 	tab, _ := New(durationSpec())
 	tab.Insert(queryObj("a", 10)) //nolint:errcheck
 	tab.Insert(queryObj("a", 20)) //nolint:errcheck
@@ -383,15 +383,16 @@ func TestLoadRoundTrip(t *testing.T) {
 	rows := tab.Rows()
 
 	restored, _ := New(durationSpec())
-	if err := restored.Load(rows); err != nil {
+	if err := restored.Restore(rows); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != 2 {
 		t.Fatalf("restored groups: %d", restored.Len())
 	}
 	vals, ok := restored.Lookup([]sqltypes.Value{sqltypes.NewString("a")})
-	if !ok || vals[1].Float() != 15 { // avg folds back as one observation
-		t.Fatalf("restored avg: %v", vals)
+	// Columns: Logical_Signature, Avg_Duration, N, Max_Duration, Sample_Text.
+	if !ok || vals[1].Float() != 15 || vals[2].Int() != 2 || vals[3].Float() != 20 {
+		t.Fatalf("restored row: %v", vals)
 	}
 }
 

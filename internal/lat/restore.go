@@ -8,8 +8,7 @@ import (
 )
 
 // Restore rebuilds table rows from checkpointed output values (§4.3:
-// LATs are persistable to a disk table and reloadable at startup). Unlike
-// Load, which folds each persisted row back as a single observation,
+// LATs are persistable to a disk table and reloadable at startup).
 // Restore reconstructs the accumulator of every aggregate whose state is
 // determined by its output — COUNT, SUM, MIN, MAX, FIRST, LAST resume
 // exactly; AVG resumes with the correct current value but unit weight for

@@ -94,8 +94,6 @@ type Config struct {
 	// DrainTimeout bounds Close: how long to wait for queued jobs to
 	// finish before abandoning the rest (default 5s).
 	DrainTimeout time.Duration
-	// DeadLetterCap bounds the dead-letter ring (default 128).
-	DeadLetterCap int
 	// Clock is the time source for retry backoff, attempt deadlines and
 	// drain timeouts (default: the wall clock). The simulation harness
 	// injects a virtual clock so retry schedules are deterministic.
@@ -126,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
-	}
-	if c.DeadLetterCap <= 0 {
-		c.DeadLetterCap = 128
 	}
 	if c.Clock == nil {
 		c.Clock = clock.System
@@ -200,7 +195,8 @@ type Outbox struct {
 	closed  atomic.Bool
 	wg      sync.WaitGroup
 
-	// dlMu protects the dead-letter ring.
+	// dlMu protects the dead-letter ring, which keeps the newest
+	// deadLetterCap dead letters.
 	//sqlcm:lock outbox.deadletter
 	//sqlcm:guards dl, dlAt
 	dlMu lockcheck.Mutex
@@ -213,6 +209,9 @@ type Outbox struct {
 	rngMu lockcheck.Mutex
 	rng   *rand.Rand
 }
+
+// deadLetterCap bounds the dead-letter ring.
+const deadLetterCap = 128
 
 // New starts an outbox with its workers.
 func New(cfg Config) *Outbox {
@@ -337,11 +336,11 @@ func (o *Outbox) DeadLetters() []DeadLetter {
 
 func (o *Outbox) addDeadLetter(d DeadLetter) {
 	o.dlMu.Lock()
-	if len(o.dl) < o.cfg.DeadLetterCap {
+	if len(o.dl) < deadLetterCap {
 		o.dl = append(o.dl, d)
 	} else {
 		o.dl[o.dlAt] = d
-		o.dlAt = (o.dlAt + 1) % o.cfg.DeadLetterCap
+		o.dlAt = (o.dlAt + 1) % deadLetterCap
 	}
 	o.dlMu.Unlock()
 }

@@ -30,7 +30,7 @@ func newTestCatalog(t *testing.T) *catalog.Catalog {
 		{Name: "o_custkey", Type: sqltypes.KindInt},
 		{Name: "o_totalprice", Type: sqltypes.KindFloat},
 	}, 15000)
-	if _, err := c.CreateIndex("idx_l_orderkey", "lineitem", []string{"l_orderkey"}, false); err != nil {
+	if _, err := c.CreateIndex("idx_l_orderkey", "lineitem", []string{"l_orderkey"}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	return c

@@ -198,27 +198,6 @@ func (h *HeapFile) Scan(fn func(rid RID, rec []byte) bool) error {
 	return nil
 }
 
-// Truncate removes all records (pages are kept and reinitialized).
-func (h *HeapFile) Truncate() error {
-	h.mu.Lock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.Unlock()
-	for i, pid := range pages {
-		p, err := h.pool.FetchPage(pid)
-		if err != nil {
-			return err
-		}
-		p.Latch.Lock()
-		InitSlotted(p)
-		if i+1 < len(pages) {
-			SetNextPage(p, pages[i+1])
-		}
-		p.Latch.Unlock()
-		h.pool.Unpin(p, true)
-	}
-	return nil
-}
-
 // Count returns the number of live records (full scan).
 func (h *HeapFile) Count() (int, error) {
 	n := 0

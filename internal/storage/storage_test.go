@@ -356,26 +356,6 @@ func TestHeapScanOrderAndStop(t *testing.T) {
 	}
 }
 
-func TestHeapTruncate(t *testing.T) {
-	h := newTestHeap(t)
-	for i := 0; i < 50; i++ {
-		if _, err := h.Insert(bytes.Repeat([]byte("q"), 300)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := h.Count()
-	if n != 0 {
-		t.Fatalf("count after truncate = %d", n)
-	}
-	// Still usable.
-	if _, err := h.Insert([]byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHeapConcurrentInserts(t *testing.T) {
 	bp := NewBufferPool(NewMemDisk(), 128)
 	h, err := NewHeapFile(bp)

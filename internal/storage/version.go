@@ -512,22 +512,6 @@ func (s *VersionStore) Prune(watermark int64) PruneWork {
 	return work
 }
 
-// Reset drops every chain (TRUNCATE).
-func (s *VersionStore) Reset() {
-	s.mu.Lock()
-	var n int64
-	seen := make(map[*chain]bool)
-	for _, c := range s.chains {
-		if c != nil && !seen[c] {
-			seen[c] = true
-			n += int64(chainLen(c.head.Load()))
-		}
-	}
-	s.chains = make(map[RID]*chain)
-	s.mu.Unlock()
-	s.stats.Retained.Add(-n)
-}
-
 // Chains returns the number of live chains (diagnostics and tests).
 func (s *VersionStore) Chains() int {
 	s.mu.RLock()

@@ -128,11 +128,6 @@ type Manager struct {
 	// any committed writer has published. Snapshots load it lock-free.
 	lastCommit atomic.Int64
 
-	// postCommit, when set (engine wiring, before transactions run),
-	// observes every writer commit — the version-garbage collector's
-	// trigger. Immutable after SetPostCommit.
-	postCommit func(commitTS int64)
-
 	// commitMu serializes writer commits: allocate the next timestamp,
 	// stamp the transaction's versions, then publish the timestamp. The
 	// stamp actions touch only atomics, so the class is a leaf.
@@ -154,10 +149,6 @@ func NewManager(locks *lock.Manager) *Manager {
 	m.commitMu.SetClass("txn.commit")
 	return m
 }
-
-// SetPostCommit installs the writer-commit observer. Must be called
-// before any transaction begins.
-func (m *Manager) SetPostCommit(fn func(commitTS int64)) { m.postCommit = fn }
 
 // LastCommit returns the newest published commit timestamp.
 func (m *Manager) LastCommit() int64 { return m.lastCommit.Load() }
@@ -219,10 +210,9 @@ func (m *Manager) Commit(t *Txn) error {
 	// transaction wrote, then publish the timestamp — all before locks
 	// release, so the next writer (and every later snapshot) sees the
 	// stamped versions. Read-only commits skip the oracle entirely.
-	var committed int64
 	if len(stamps) > 0 {
 		m.commitMu.Lock()
-		committed = m.lastCommit.Load() + 1
+		committed := m.lastCommit.Load() + 1
 		for _, fn := range stamps {
 			fn(committed)
 		}
@@ -230,9 +220,6 @@ func (m *Manager) Commit(t *Txn) error {
 		m.commitMu.Unlock()
 	}
 	m.finish(t)
-	if committed != 0 && m.postCommit != nil {
-		m.postCommit(committed)
-	}
 	return nil
 }
 

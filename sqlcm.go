@@ -160,8 +160,6 @@ const (
 	// (kind-mismatched conditions, dead rules, bad LAT references,
 	// synchronous trigger cycles, duplicates).
 	RuleCheckStrict = rulecheck.Strict
-	// RuleCheckOff skips static analysis entirely.
-	RuleCheckOff = rulecheck.Off
 )
 
 // Config tunes a DB.
@@ -173,9 +171,6 @@ type Config struct {
 	// LockTimeout bounds lock waits (default 10s; deadlocks are always
 	// detected regardless).
 	LockTimeout time.Duration
-	// VersionGCEvery is the writer-commit interval between version-garbage
-	// collection passes (default 256; negative disables automatic pruning).
-	VersionGCEvery int
 	// Mailer handles SendMail actions (default: recording MemMailer).
 	Mailer Mailer
 	// Runner handles RunExternal actions (default: recording MemRunner).
@@ -199,10 +194,9 @@ type DB struct {
 // Open creates a DB with monitoring attached.
 func Open(cfg Config) (*DB, error) {
 	eng, err := engine.Open(engine.Config{
-		PoolPages:      cfg.PoolPages,
-		DataPath:       cfg.DataPath,
-		LockTimeout:    cfg.LockTimeout,
-		VersionGCEvery: cfg.VersionGCEvery,
+		PoolPages:   cfg.PoolPages,
+		DataPath:    cfg.DataPath,
+		LockTimeout: cfg.LockTimeout,
 	})
 	if err != nil {
 		return nil, err
